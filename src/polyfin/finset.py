@@ -2,9 +2,12 @@
 
 Everything is immutable and compared structurally.  Element values form an
 inductive universe (atoms, pairs, section tables) carrying a global total
-order: atoms < pairs < section tables, lexicographic within each kind.  The
-order fixes a canonical serialization for every constructed set, which in
-turn makes every "induced unique map" computable by structural lookup.
+order: atoms < pairs < section tables, lexicographic within each kind.  Each
+element's nested ``_key`` tuple realizes that order and decides equality.
+The order fixes a canonical serialization for every constructed set, which
+in turn makes every "induced unique map" computable by structural lookup.
+Hashes never walk a key tree: a Pair or Sect combines the cached hashes of
+its children, so hashing any element costs O(1) after construction.
 
 Chosen pullbacks are normalized: pulling back along an identity (or pulling
 an identity back) returns the other leg's domain on the nose, so identity
@@ -51,9 +54,6 @@ class Element:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Element) and self._key == other._key
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __lt__(self, other: "Element") -> bool:
         return self._key < other._key
 
@@ -75,9 +75,9 @@ class Atom(Element):
     def __init__(self, token: str):
         if not isinstance(token, str):
             raise TypeError("atom token must be a string")
-        object.__setattr__(self, "token", token)
-        object.__setattr__(self, "_key", (0, token))
-        object.__setattr__(self, "_hash", hash((0, token)))
+        self.token = token
+        self._key = (0, token)
+        self._hash = hash(self._key)
 
     def __repr__(self) -> str:
         return f"Atom({self.token!r})"
@@ -87,11 +87,10 @@ class Pair(Element):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Element, right: Element):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        key = (1, left._key, right._key)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self.left = left
+        self.right = right
+        self._key = (1, left._key, right._key)
+        self._hash = hash((1, left._hash, right._hash))
 
     def __repr__(self) -> str:
         return f"Pair({self.left!r}, {self.right!r})"
@@ -111,10 +110,9 @@ class Sect(Element):
         for (a, _), (b, _) in zip(items, items[1:]):
             if a == b:
                 raise DuplicateElement(f"section table repeats key {a!r}")
-        object.__setattr__(self, "entries", tuple(items))
-        key = (2, tuple((k._key, v._key) for k, v in items))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self.entries = tuple(items)
+        self._key = (2, tuple((k._key, v._key) for k, v in items))
+        self._hash = hash((2, tuple((k._hash, v._hash) for k, v in items)))
 
     def __getitem__(self, point: Element) -> Element:
         for k, v in self.entries:
@@ -137,9 +135,9 @@ class FinSetObj:
         for a, b in zip(elems, elems[1:]):
             if a == b:
                 raise DuplicateElement(f"duplicate element {a!r}")
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "_set", frozenset(elems))
-        object.__setattr__(self, "_hash", hash(self._set))
+        self.elements = tuple(elems)
+        self._set = frozenset(elems)
+        self._hash = hash(self._set)
 
     def __contains__(self, e: Element) -> bool:
         return e in self._set
@@ -161,7 +159,10 @@ class FinSetObj:
 
 
 class FinFn:
-    """A total function between two finite sets, given by its graph."""
+    """A total function between two finite sets, given by its graph.
+
+    The graph lists (argument, value) pairs in dom's canonical order.
+    """
 
     __slots__ = ("dom", "cod", "graph", "_map", "_hash", "_fibers")
 
@@ -175,20 +176,18 @@ class FinFn:
         missing = [e for e in dom if e not in mapping]
         if missing:
             raise IllFormedFunction(f"no value for {missing[0]!r}")
-        extra = [a for a in mapping if a not in dom]
-        if extra:
+        if len(mapping) != len(dom):
+            extra = [a for a in mapping if a not in dom]
             raise IllFormedFunction(f"assignment for non-element {extra[0]!r}")
-        bad = [v for v in mapping.values() if v not in cod]
+        bad = [v for v in mapping.values() if v not in cod._set]
         if bad:
             raise IllFormedFunction(f"value {bad[0]!r} lies outside codomain")
-        graph = tuple(sorted(mapping.items(), key=lambda kv: kv[0]._key))
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "_map", mapping)
-        object.__setattr__(self, "_hash",
-                           hash((dom, cod, tuple((a._key, v._key) for a, v in graph))))
-        object.__setattr__(self, "_fibers", None)
+        self.dom = dom
+        self.cod = cod
+        self.graph = tuple([(a, mapping[a]) for a in dom.elements])
+        self._map = mapping
+        self._hash = None
+        self._fibers = None
 
     def __call__(self, e: Element) -> Element:
         return self._map[e]
@@ -198,6 +197,8 @@ class FinFn:
                 and self.cod == other.cod and self.graph == other.graph)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.dom, self.cod, self.graph))
         return self._hash
 
     def __repr__(self) -> str:
@@ -218,8 +219,7 @@ class FinFn:
             fibers: dict[Element, list[Element]] = {c: [] for c in self.cod}
             for a, v in self.graph:
                 fibers[v].append(a)
-            object.__setattr__(self, "_fibers",
-                               {c: tuple(es) for c, es in fibers.items()})
+            self._fibers = {c: tuple(es) for c, es in fibers.items()}
         return self._fibers[b]
 
     def image(self) -> FinSetObj:
@@ -297,7 +297,7 @@ def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
     if g.is_identity:
         apex = f.dom
         return PullbackSquare(apex, identity_fn(apex), f, f, g)
-    elems = [Pair(a, b) for a in f.dom for b in g.dom if f(a) == g(b)]
+    elems = [Pair(a, b) for a in f.dom for b in g.fiber(f(a))]
     apex = FinSetObj(elems)
     proj1 = FinFn(apex, f.dom, [(e, e.left) for e in apex])
     proj2 = FinFn(apex, g.dom, [(e, e.right) for e in apex])
@@ -314,8 +314,9 @@ def check_pullback(sq: PullbackSquare) -> bool:
     """
     if not sq.commutes():
         raise NotASquare("square does not commute")
-    want = {(a, b) for a in sq.leg1.dom for b in sq.leg2.dom
-            if sq.leg1(a) == sq.leg2(b)}
+    leg1, leg2 = sq.leg1, sq.leg2
+    want = {(a, b) for a in leg1.dom if leg1(a) in leg2.cod
+            for b in leg2.fiber(leg1(a))}
     got = [(sq.proj1(e), sq.proj2(e)) for e in sq.apex]
     return len(got) == len(set(got)) == len(want) and set(got) == want
 

@@ -541,13 +541,10 @@ def flatten_bracketing(tree: Leaf | Node) -> SubdividedComposite:
 
 
 def _chain_from(sdc: SubdividedComposite, i: int) -> FinFn:
-    comp = identity_fn(sdc.ys[-1])
     maps = sdc.q2s[i:]
     if maps:
-        comp = reduce(lambda acc, step: compose_fn(step, acc), maps)
-    else:
-        comp = identity_fn(sdc.ys[i])
-    return comp
+        return reduce(lambda acc, step: compose_fn(step, acc), maps)
+    return identity_fn(sdc.ys[i])
 
 
 def _flatten_binary(outer: SubdividedComposite, a: SubdividedComposite,

@@ -264,8 +264,8 @@ def dpb_compare(cand: DistPB, canonical: DistPB) -> tuple[FinFn, FinFn]:
         t_map[y] = image
         t_pairs.append((y, image))
     t = FinFn(cand.Y, canonical.Y, t_pairs)
-    index = {(compose_fn(g, canonical.p)(x), canonical.q(x)): x
-             for x in canonical.X}
+    gp_canonical = compose_fn(g, canonical.p)
+    index = {(gp_canonical(x), canonical.q(x)): x for x in canonical.X}
     s_pairs = [(x, index[(gp(x), t_map[cand.q(x)])]) for x in cand.X]
     s = FinFn(cand.X, canonical.X, s_pairs)
     return s, t

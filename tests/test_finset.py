@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyfin.finset
+import polyfin.poly
 from polyfin.errors import (
     DuplicateElement,
     IllFormedFunction,
@@ -33,6 +35,42 @@ elements = st.recursive(
     st.sampled_from("abcxyz").map(Atom),
     lambda inner: st.tuples(inner, inner).map(lambda ab: Pair(*ab)),
     max_leaves=4)
+
+# Atoms, pairs and section tables, nested several levels deep.
+deep_elements = st.recursive(
+    st.sampled_from("abcxyz").map(Atom),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: Pair(*ab)),
+        st.dictionaries(inner, inner, min_size=1, max_size=3).map(
+            lambda d: Sect(d.items()))),
+    max_leaves=8)
+
+
+def rebuild(e, rnd):
+    """A structurally equal copy of e made of fresh objects, with every
+    section table's entries handed over in a shuffled order."""
+    if isinstance(e, Atom):
+        return Atom(e.token)
+    if isinstance(e, Pair):
+        return Pair(rebuild(e.left, rnd), rebuild(e.right, rnd))
+    entries = [(rebuild(k, rnd), rebuild(v, rnd)) for k, v in e.entries]
+    rnd.shuffle(entries)
+    return Sect(entries)
+
+
+@st.composite
+def cospans(draw):
+    """Cospans f : A -> C <- B : g of atoms.  Fibers may be empty, legs need
+    not be surjective, and A, B (and C) may be empty."""
+    cod = mk_finset([f"c{i}" for i in range(draw(st.integers(0, 4)))])
+
+    def leg(prefix):
+        size = draw(st.integers(0, 6)) if len(cod) else 0
+        dom = mk_finset([f"{prefix}{i}" for i in range(size)])
+        return FinFn(dom, cod, [(e, draw(st.sampled_from(cod.elements)))
+                                for e in dom])
+
+    return leg("a"), leg("b")
 
 
 class TestElements:
@@ -65,6 +103,33 @@ class TestElements:
             assert x < z
         if x == y:
             assert not x < y and not y < x
+
+    @given(deep_elements, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_elements_hash_equal(self, x, rnd):
+        copy = rebuild(x, rnd)
+        assert copy is not x
+        assert copy == x and not copy != x
+        assert hash(copy) == hash(x)
+
+    def test_sect_entry_order_does_not_change_hash(self):
+        entries = [(Atom(k), Atom(v)) for k, v in ["b1", "a0", "c2"]]
+        tables = [Sect(order) for order in
+                  (entries, entries[::-1], entries[1:] + entries[:1])]
+        assert all(t == tables[0] for t in tables)
+        assert len({hash(t) for t in tables}) == 1
+
+    def test_three_level_nesting_equal_and_hash_equal(self):
+        def build(order):
+            inner = Sect([(Atom("p"), Atom("1")), (Atom("q"), Atom("2"))][::order])
+            middle = Pair(inner, Sect([(inner, Atom("x")),
+                                       (Atom("k"), inner)][::order]))
+            outer = Sect([(middle, Pair(Atom("y"), middle)),
+                          (Atom("z"), middle)][::order])
+            return inner, middle, outer
+
+        for one, other in zip(build(1), build(-1)):
+            assert one == other and hash(one) == hash(other)
 
 
 class TestMkFinset:
@@ -105,6 +170,38 @@ class TestMkFn:
         x = mk_finset(["a"])
         with pytest.raises(IllFormedFunction):
             mk_fn(x, x, [(Atom("a"), Atom("a")), (Atom("b"), Atom("a"))])
+
+    def test_error_messages_and_precedence(self):
+        x = mk_finset(["a", "b"])
+        a, b, c, z = Atom("a"), Atom("b"), Atom("c"), Atom("z")
+        with pytest.raises(IllFormedFunction,
+                           match=r"^element Atom\('a'\) assigned twice$"):
+            FinFn(x, x, [(a, a), (a, b)])
+        # A missing argument is reported before an extra one or a bad value.
+        with pytest.raises(IllFormedFunction, match=r"^no value for Atom\('b'\)$"):
+            FinFn(x, x, [(a, z), (c, a)])
+        # An extra argument is reported before a value outside the codomain.
+        with pytest.raises(IllFormedFunction,
+                           match=r"^assignment for non-element Atom\('c'\)$"):
+            FinFn(x, x, [(b, z), (c, a), (a, a)])
+        with pytest.raises(IllFormedFunction,
+                           match=r"^value Atom\('z'\) lies outside codomain$"):
+            FinFn(x, x, [(b, a), (a, z)])
+
+    @given(st.lists(deep_elements, unique=True, max_size=8),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_graph_follows_dom_order(self, args, rnd):
+        dom = FinSetObj(args)
+        cod = mk_finset(["u", "v", "w"])
+        pairs = [(e, rnd.choice(cod.elements)) for e in dom]
+        shuffled = [(rebuild(e, rnd), v) for e, v in pairs]
+        rnd.shuffle(shuffled)
+        ordered, scrambled = FinFn(dom, cod, pairs), FinFn(dom, cod, shuffled)
+        assert [e for e, _ in scrambled.graph] == list(dom.elements)
+        assert scrambled.graph == ordered.graph
+        assert scrambled == ordered and hash(scrambled) == hash(ordered)
+        assert all(scrambled(e) == v for e, v in pairs)
 
 
 class TestComposeFn:
@@ -179,6 +276,33 @@ class TestPullback:
         with pytest.raises(NotComposable):
             pullback(f, g)
 
+    @given(cospans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, cospan):
+        f, g = cospan
+        want = FinSetObj([Pair(a, b) for a in f.dom for b in g.dom
+                          if f(a) == g(b)])
+        sq = pullback(f, g)
+        assert sq.apex == want and sq.apex.elements == want.elements
+        assert len(sq.apex) == pair_set(f, g)
+        assert sq.proj1 == FinFn(want, f.dom, [(e, e.left) for e in want])
+        assert sq.proj2 == FinFn(want, g.dom, [(e, e.right) for e in want])
+        assert sq.leg1 is f and sq.leg2 is g
+        assert check_pullback(sq)
+
+    @given(cospans())
+    @settings(max_examples=60, deadline=None)
+    def test_identity_normalizations_on_the_nose(self, cospan):
+        f, g = cospan
+        one = identity_fn(f.cod)
+        right = pullback(f, one)
+        # With both legs identities (the empty cospan), the left rule wins.
+        assert right.apex is (one.dom if f.is_identity else f.dom)
+        assert right.proj1.is_identity and right.proj2 == f
+        left = pullback(one, g)
+        assert left.apex is g.dom
+        assert left.proj1 == g and left.proj2.is_identity
+
 
 class TestCheckPullback:
     def test_doubled_apex_rejected(self):
@@ -214,6 +338,47 @@ class TestCheckPullback:
             sq = pullback(f, g)
             assert check_pullback(sq)
             assert len(sq.apex) == pair_set(f, g)
+
+
+class TestCheckPullbackIndependence:
+    """check_pullback computes its reference from the legs alone, so it
+    still rejects the squares of a pullback that drops an apex element."""
+
+    @pytest.fixture
+    def dropping_pullback(self, monkeypatch):
+        real = polyfin.finset.pullback
+
+        def mutant(f, g):
+            sq = real(f, g)
+            if sq.apex is f.dom or sq.apex is g.dom or len(sq.apex) < 2:
+                return sq
+            keep = sq.apex.elements[:-1]
+            apex = FinSetObj(keep)
+            return PullbackSquare(
+                apex, FinFn(apex, f.dom, [(e, sq.proj1(e)) for e in keep]),
+                FinFn(apex, g.dom, [(e, sq.proj2(e)) for e in keep]), f, g)
+
+        monkeypatch.setattr(polyfin.finset, "pullback", mutant)
+        monkeypatch.setattr(polyfin.poly, "pullback", mutant)
+        return mutant
+
+    def test_rejects_mutant_square(self, dropping_pullback):
+        pt = mk_finset(["*"])
+        sq = dropping_pullback(constant_fn(mk_finset(["a", "b"]), pt, Atom("*")),
+                               constant_fn(mk_finset(["c", "d"]), pt, Atom("*")))
+        assert len(sq.apex) == 3
+        assert sq.commutes()
+        assert not check_pullback(sq)
+
+    def test_two_link_composite_fails_validation(self, dropping_pullback):
+        from polyfin.poly import compose_seq
+        from polyfin.symbolic import encode, parse_poly
+        links = [encode(parse_poly("x^2+x", ["x"], ["y"])),
+                 encode(parse_poly("y^2+1", ["y"], ["x"]))]
+        with pytest.raises(NotComposable,
+                           match="square is not a pullback") as excinfo:
+            compose_seq(links)
+        assert excinfo.traceback[-1].name == "validate"
 
 
 class TestMediate:
