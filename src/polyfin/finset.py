@@ -9,6 +9,11 @@ in turn makes every "induced unique map" computable by structural lookup.
 Hashes never walk a key tree: a Pair or Sect combines the cached hashes of
 its children, so hashing any element costs O(1) after construction.
 
+Functions are position tables: equal sets give each element the same
+position in canonical order, and a function stores for each domain position
+the codomain position of its value, so composition, pullback, mediation and
+the pullback check run on ints.
+
 Chosen pullbacks are normalized: pulling back along an identity (or pulling
 an identity back) returns the other leg's domain on the nose, so identity
 laws downstream hold strictly rather than up to isomorphism.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter, is_, lt
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -52,7 +58,8 @@ class Element:
     __slots__ = ("_key", "_hash")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Element) and self._key == other._key
+        return self is other or (isinstance(other, Element)
+                                 and self._key == other._key)
 
     def __lt__(self, other: "Element") -> bool:
         return self._key < other._key
@@ -63,10 +70,8 @@ class Element:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def key(self):
-        """Canonical sort key realizing the global total order."""
-        return self._key
+
+_key_of = attrgetter("_key")
 
 
 class Atom(Element):
@@ -116,6 +121,9 @@ class Sect(Element):
 
     def __getitem__(self, point: Element) -> Element:
         for k, v in self.entries:
+            if k is point:
+                return v
+        for k, v in self.entries:
             if k == point:
                 return v
         raise KeyError(point)
@@ -126,21 +134,29 @@ class Sect(Element):
 
 
 class FinSetObj:
-    """A finite set of elements, stored sorted by the global order."""
+    """A finite set of elements, stored sorted by the global order.
 
-    __slots__ = ("elements", "_set", "_hash")
+    _index maps each element to its position.  Input already strictly
+    ascending is kept after one pass over the keys; only other input is
+    sorted and checked for duplicates.
+    """
+
+    __slots__ = ("elements", "_index", "_hash")
 
     def __init__(self, elements: Iterable[Element]):
-        elems = sorted(elements, key=lambda e: e._key)
-        for a, b in zip(elems, elems[1:]):
-            if a == b:
-                raise DuplicateElement(f"duplicate element {a!r}")
+        elems = list(elements)
+        keys = list(map(_key_of, elems))
+        if not all(map(lt, keys, keys[1:])):
+            elems.sort(key=_key_of)
+            for a, b in zip(elems, elems[1:]):
+                if a == b:
+                    raise DuplicateElement(f"duplicate element {a!r}")
         self.elements = tuple(elems)
-        self._set = frozenset(elems)
-        self._hash = hash(self._set)
+        self._index = dict(zip(elems, range(len(elems))))
+        self._hash = None
 
     def __contains__(self, e: Element) -> bool:
-        return e in self._set
+        return e in self._index
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
@@ -149,56 +165,87 @@ class FinSetObj:
         return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinSetObj) and self._set == other._set
+        return self is other or (isinstance(other, FinSetObj)
+                                 and self.elements == other.elements)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.elements)
         return self._hash
 
     def __repr__(self) -> str:
         return f"FinSetObj({list(self.elements)!r})"
 
 
-class FinFn:
-    """A total function between two finite sets, given by its graph.
+def ordered_finset(elems: list[Element]) -> FinSetObj:
+    """The set of elems, whose positions the caller takes from elems' order."""
+    obj = FinSetObj(elems)
+    if not all(map(is_, obj.elements, elems)):
+        raise AssertionError("construction did not emit canonical order")
+    return obj
 
-    The graph lists (argument, value) pairs in dom's canonical order.
+
+class FinFn:
+    """A total function between two finite sets, stored as a position table.
+
+    idx[i] is the position in cod of the value at dom.elements[i].  The one
+    constructor takes either (argument, value) pairs in any order, which it
+    validates, or idx=, whose length and range it checks.  graph lists the
+    pairs in dom's canonical order.
     """
 
-    __slots__ = ("dom", "cod", "graph", "_map", "_hash", "_fibers")
+    __slots__ = ("dom", "cod", "idx", "_hash", "_fibers", "_identity",
+                 "_bijective")
 
     def __init__(self, dom: FinSetObj, cod: FinSetObj,
-                 pairs: Iterable[tuple[Element, Element]]):
-        mapping: dict[Element, Element] = {}
-        for arg, val in pairs:
-            if arg in mapping:
-                raise IllFormedFunction(f"element {arg!r} assigned twice")
-            mapping[arg] = val
-        missing = [e for e in dom if e not in mapping]
-        if missing:
-            raise IllFormedFunction(f"no value for {missing[0]!r}")
-        if len(mapping) != len(dom):
-            extra = [a for a in mapping if a not in dom]
-            raise IllFormedFunction(f"assignment for non-element {extra[0]!r}")
-        bad = [v for v in mapping.values() if v not in cod._set]
-        if bad:
-            raise IllFormedFunction(f"value {bad[0]!r} lies outside codomain")
-        self.dom = dom
-        self.cod = cod
-        self.graph = tuple([(a, mapping[a]) for a in dom.elements])
-        self._map = mapping
-        self._hash = None
-        self._fibers = None
+                 pairs: Iterable[tuple[Element, Element]] | None = None, *,
+                 idx: Iterable[int] | None = None):
+        if idx is None:
+            dpos, cpos = dom._index, cod._index
+            idx, extra, bad = [None] * len(dom), {}, []
+            for arg, val in pairs:
+                i = dpos.get(arg)
+                if i is None:
+                    twice = arg in extra
+                    extra[arg] = None
+                else:
+                    twice = idx[i] is not None
+                    idx[i] = j = cpos.get(val, -1)
+                    if j < 0:
+                        bad.append(val)
+                if twice:
+                    raise IllFormedFunction(f"element {arg!r} assigned twice")
+            if None in idx:
+                missing = dom.elements[idx.index(None)]
+                raise IllFormedFunction(f"no value for {missing!r}")
+            if extra:
+                raise IllFormedFunction(
+                    f"assignment for non-element {next(iter(extra))!r}")
+            if bad:
+                raise IllFormedFunction(f"value {bad[0]!r} lies outside codomain")
+        elif pairs is not None:
+            raise TypeError("give either pairs or idx, not both")
+        idx = tuple(idx)
+        if len(idx) != len(dom) or idx and not 0 <= min(idx) <= max(idx) < len(cod):
+            raise IllFormedFunction("position table does not fit dom and cod")
+        self.dom, self.cod, self.idx = dom, cod, idx
+        self._hash = self._fibers = self._identity = self._bijective = None
 
     def __call__(self, e: Element) -> Element:
-        return self._map[e]
+        return self.cod.elements[self.idx[self.dom._index[e]]]
+
+    @property
+    def graph(self) -> tuple[tuple[Element, Element], ...]:
+        return tuple(zip(self.dom.elements,
+                         map(self.cod.elements.__getitem__, self.idx)))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FinFn) and self.dom == other.dom
-                and self.cod == other.cod and self.graph == other.graph)
+        return (isinstance(other, FinFn) and self.idx == other.idx
+                and self.dom == other.dom and self.cod == other.cod)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.dom, self.cod, self.graph))
+            self._hash = hash((self.dom, self.cod, self.idx))
         return self._hash
 
     def __repr__(self) -> str:
@@ -206,29 +253,43 @@ class FinFn:
 
     @property
     def is_identity(self) -> bool:
-        return self.dom == self.cod and all(a == v for a, v in self.graph)
+        if self._identity is None:
+            n = len(self.idx)
+            self._identity = (n == len(self.cod)
+                              and self.idx == tuple(range(n))
+                              and self.dom == self.cod)
+        return self._identity
 
     @property
     def is_bijective(self) -> bool:
-        return (len(self.dom) == len(self.cod)
-                and len({v for _, v in self.graph}) == len(self.dom))
+        if self._bijective is None:
+            self._bijective = (len(self.idx) == len(self.cod)
+                               and len(set(self.idx)) == len(self.idx))
+        return self._bijective
+
+    def fiber_positions(self) -> list[list[int]]:
+        """For each codomain position, the domain positions mapping to it."""
+        if self._fibers is None:
+            fibers: list[list[int]] = [[] for _ in range(len(self.cod))]
+            for i, j in enumerate(self.idx):
+                fibers[j].append(i)
+            self._fibers = fibers
+        return self._fibers
 
     def fiber(self, b: Element) -> tuple[Element, ...]:
         """All domain elements mapping to b, in canonical order."""
-        if self._fibers is None:
-            fibers: dict[Element, list[Element]] = {c: [] for c in self.cod}
-            for a, v in self.graph:
-                fibers[v].append(a)
-            self._fibers = {c: tuple(es) for c, es in fibers.items()}
-        return self._fibers[b]
+        positions = self.fiber_positions()[self.cod._index[b]]
+        return tuple(map(self.dom.elements.__getitem__, positions))
 
     def image(self) -> FinSetObj:
-        return FinSetObj({v for _, v in self.graph})
+        return FinSetObj(map(self.cod.elements.__getitem__,
+                             sorted(set(self.idx))))
 
     def inverse(self) -> "FinFn":
         if not self.is_bijective:
             raise IllFormedFunction("function is not bijective")
-        return FinFn(self.cod, self.dom, [(v, a) for a, v in self.graph])
+        return FinFn(self.cod, self.dom,
+                     idx=sorted(range(len(self.idx)), key=self.idx.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -246,8 +307,19 @@ class PullbackSquare:
     leg2: FinFn
 
     def commutes(self) -> bool:
-        return all(self.leg1(self.proj1(e)) == self.leg2(self.proj2(e))
-                   for e in self.apex)
+        p1, p2 = _square_positions(self)
+        return (list(map(self.leg1.idx.__getitem__, p1))
+                == list(map(self.leg2.idx.__getitem__, p2)))
+
+
+def _square_positions(sq: PullbackSquare) -> tuple[tuple[int, ...],
+                                                   tuple[int, ...]]:
+    """The projections' position tables, once the boundaries line up."""
+    if not (sq.proj1.dom == sq.apex and sq.proj2.dom == sq.apex
+            and sq.proj1.cod == sq.leg1.dom and sq.proj2.cod == sq.leg2.dom
+            and sq.leg1.cod == sq.leg2.cod):
+        raise NotASquare("apex, projections and legs do not line up")
+    return sq.proj1.idx, sq.proj2.idx
 
 
 def mk_finset(tokens: list[str]) -> FinSetObj:
@@ -267,7 +339,7 @@ def mk_fn(dom: FinSetObj, cod: FinSetObj,
 
 
 def identity_fn(obj: FinSetObj) -> FinFn:
-    return FinFn(obj, obj, [(e, e) for e in obj])
+    return FinFn(obj, obj, idx=range(len(obj)))
 
 
 def constant_fn(dom: FinSetObj, cod: FinSetObj, value: Element) -> FinFn:
@@ -278,7 +350,7 @@ def compose_fn(g: FinFn, f: FinFn) -> FinFn:
     """Pointwise composite g o f; boundaries must match structurally."""
     if f.cod != g.dom:
         raise NotComposable("codomain of f differs from domain of g")
-    return FinFn(f.dom, g.cod, [(a, g(v)) for a, v in f.graph])
+    return FinFn(f.dom, g.cod, idx=map(g.idx.__getitem__, f.idx))
 
 
 def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
@@ -297,10 +369,18 @@ def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
     if g.is_identity:
         apex = f.dom
         return PullbackSquare(apex, identity_fn(apex), f, f, g)
-    elems = [Pair(a, b) for a in f.dom for b in g.fiber(f(a))]
-    apex = FinSetObj(elems)
-    proj1 = FinFn(apex, f.dom, [(e, e.left) for e in apex])
-    proj2 = FinFn(apex, g.dom, [(e, e.right) for e in apex])
+    fd, gd = f.dom.elements, g.dom.elements
+    fibers = g.fiber_positions()
+    elems, left, right = [], [], []
+    for i, j in enumerate(f.idx):
+        a = fd[i]
+        for k in fibers[j]:
+            elems.append(Pair(a, gd[k]))
+            left.append(i)
+            right.append(k)
+    apex = ordered_finset(elems)
+    proj1 = FinFn(apex, f.dom, idx=left)
+    proj2 = FinFn(apex, g.dom, idx=right)
     return PullbackSquare(apex, proj1, proj2, f, g)
 
 
@@ -310,14 +390,14 @@ def check_pullback(sq: PullbackSquare) -> bool:
     Uses the concrete criterion: the map e |-> (proj1 e, proj2 e) must be a
     bijection onto the matching pairs of the cospan.  In a well-pointed
     category of finite sets this is equivalent to the universal property
-    over arbitrary test objects.
+    over arbitrary test objects.  The matching pairs come from the legs
+    alone, never from the apex.
     """
     if not sq.commutes():
         raise NotASquare("square does not commute")
-    leg1, leg2 = sq.leg1, sq.leg2
-    want = {(a, b) for a in leg1.dom if leg1(a) in leg2.cod
-            for b in leg2.fiber(leg1(a))}
-    got = [(sq.proj1(e), sq.proj2(e)) for e in sq.apex]
+    fibers = sq.leg2.fiber_positions()
+    want = {(i, k) for i, j in enumerate(sq.leg1.idx) for k in fibers[j]}
+    got = list(zip(sq.proj1.idx, sq.proj2.idx))
     return len(got) == len(set(got)) == len(want) and set(got) == want
 
 
@@ -332,14 +412,15 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
         raise NotComposable("cone legs must share a domain")
     if t1.cod != sq.proj1.cod or t2.cod != sq.proj2.cod:
         raise NotComposable("cone legs do not match the pullback projections")
-    index = {(sq.proj1(e), sq.proj2(e)): e for e in sq.apex}
-    pairs = []
-    for x in t1.dom:
-        target = (t1(x), t2(x))
-        if sq.leg1(target[0]) != sq.leg2(target[1]):
+    p1, p2 = _square_positions(sq)
+    index = {pair: e for e, pair in enumerate(zip(p1, p2))}
+    l1, l2 = sq.leg1.idx, sq.leg2.idx
+    positions = []
+    for target in zip(t1.idx, t2.idx):
+        if l1[target[0]] != l2[target[1]]:
             raise NotASquare("cone does not commute with the cospan")
         try:
-            pairs.append((x, index[target]))
+            positions.append(index[target])
         except KeyError:
             raise NotASquare("square lacks the pullback property") from None
     if _PARANOID:
@@ -348,9 +429,4 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
                     if sq.proj1(e) == t1(x) and sq.proj2(e) == t2(x)]
             if len(hits) != 1:
                 raise NotASquare("mediating element is not unique")
-    return FinFn(t1.dom, sq.apex, pairs)
-
-
-def pair_set(f: FinFn, g: FinFn) -> int:
-    """Cardinality of the canonical pullback of (f, g); test oracle."""
-    return sum(1 for a in f.dom for b in g.dom if f(a) == g(b))
+    return FinFn(t1.dom, sq.apex, idx=positions)

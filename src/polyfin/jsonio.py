@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import ParseError
-from .extension import EvalTrace, NatComponentTrace
+from .extension import EvalTrace
 from .finset import Atom, Element, FinFn, FinSetObj, Pair, Sect
 from .poly import CartesianMorphism, Polynomial, SubdividedComposite
 from .slices import DistPB
@@ -116,11 +116,3 @@ def eval_trace_to_json(t: EvalTrace) -> dict:
             "dpb_p": fn_to_json(t.dpb_p), "dpb_q": fn_to_json(t.dpb_q),
             "dpb_r": fn_to_json(t.dpb_r),
             "output": fn_to_json(t.output.arrow)}
-
-
-def nat_trace_to_json(t: NatComponentTrace) -> dict:
-    return {"C2": finset_to_json(t.C2), "C3": finset_to_json(t.C3),
-            "C4": finset_to_json(t.C4), "C2'": finset_to_json(t.C2p),
-            "C3'": finset_to_json(t.C3p), "C4'": finset_to_json(t.C4p),
-            "f2": fn_to_json(t.f2), "f3": fn_to_json(t.f3),
-            "f4": fn_to_json(t.f4)}

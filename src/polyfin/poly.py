@@ -151,11 +151,6 @@ def vcompose(m2: CartesianMorphism, m1: CartesianMorphism) -> CartesianMorphism:
                              compose_fn(m2.f0, m1.f0), compose_fn(m2.f1, m1.f1))
 
 
-def cartesian_inverse(m: CartesianMorphism) -> CartesianMorphism:
-    return CartesianMorphism(m.tgt_poly, m.src_poly,
-                             m.f0.inverse(), m.f1.inverse())
-
-
 @dataclass(frozen=True)
 class SubdividedComposite:
     """Staged composite data (Y, q, r, s) over a composable sequence.
@@ -516,12 +511,6 @@ def bracketing_leaves(tree: Leaf | Node) -> list[Polynomial]:
     if isinstance(tree, Leaf):
         return [tree.poly]
     return bracketing_leaves(tree.first) + bracketing_leaves(tree.second)
-
-
-def bracketing_poly(tree: Leaf | Node) -> Polynomial:
-    if isinstance(tree, Leaf):
-        return tree.poly
-    return compose2(bracketing_poly(tree.second), bracketing_poly(tree.first))
 
 
 def flatten_bracketing(tree: Leaf | Node) -> SubdividedComposite:

@@ -34,6 +34,7 @@ from .finset import (
     compose_fn,
     identity_fn,
     mediate,
+    ordered_finset,
     paranoid_enabled,
 )
 
@@ -51,10 +52,6 @@ class SliceObj:
     @property
     def carrier(self) -> FinSetObj:
         return self.arrow.dom
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.arrow.is_identity
 
 
 @dataclass(frozen=True)
@@ -130,13 +127,14 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
         return x
     if x.arrow.is_identity:
         return terminal_slice(f.cod)
-    elems = []
-    for b in f.cod:
+    elems, over = [], []
+    for j, b in enumerate(f.cod):
         fib = f.fiber(b)
         for combo in product(*[x.arrow.fiber(a) for a in fib]):
             elems.append(Pair(b, Sect(zip(fib, combo))))
-    carrier = FinSetObj(elems)
-    return SliceObj(FinFn(carrier, f.cod, [(e, e.left) for e in carrier]))
+        over.extend([j] * (len(elems) - len(over)))
+    carrier = ordered_finset(elems)
+    return SliceObj(FinFn(carrier, f.cod, idx=over))
 
 
 def pi_section_value(f: FinFn, x: SliceObj, elem: Element, a: Element) -> Element:
@@ -225,12 +223,10 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     yslice = pi(f, gslice)
     sq = pullback(f, yslice.arrow)
     X, q = sq.apex, sq.proj2
-    pairs = []
-    for e in X:
-        a = sq.proj1(e)
-        y = q(e)
-        pairs.append((e, pi_section_value(f, gslice, y, a)))
-    p = FinFn(X, g.dom, pairs)
+    fdom, ys, gpos = f.dom.elements, yslice.carrier.elements, g.dom._index
+    p = FinFn(X, g.dom, idx=[
+        gpos[pi_section_value(f, gslice, ys[iy], fdom[ia])]
+        for ia, iy in zip(sq.proj1.idx, q.idx)])
     return DistPB(f, g, X, yslice.carrier, p, q, yslice.arrow)
 
 
@@ -251,7 +247,6 @@ def dpb_compare(cand: DistPB, canonical: DistPB) -> tuple[FinFn, FinFn]:
             raise NotAPullbackAround("outer square is not a pullback")
         locate[key] = x
     t_pairs = []
-    t_map: dict[Element, Element] = {}
     for y in cand.Y:
         b = cand.r(y)
         values = {}
@@ -260,14 +255,13 @@ def dpb_compare(cand: DistPB, canonical: DistPB) -> tuple[FinFn, FinFn]:
             if x is None:
                 raise NotAPullbackAround("outer square is not a pullback")
             values[a] = cand.p(x)
-        image = pi_make_element(f, gslice, b, values)
-        t_map[y] = image
-        t_pairs.append((y, image))
+        t_pairs.append((y, pi_make_element(f, gslice, b, values)))
     t = FinFn(cand.Y, canonical.Y, t_pairs)
     gp_canonical = compose_fn(g, canonical.p)
-    index = {(gp_canonical(x), canonical.q(x)): x for x in canonical.X}
-    s_pairs = [(x, index[(gp(x), t_map[cand.q(x)])]) for x in cand.X]
-    s = FinFn(cand.X, canonical.X, s_pairs)
+    index = {key: i for i, key in
+             enumerate(zip(gp_canonical.idx, canonical.q.idx))}
+    s = FinFn(cand.X, canonical.X, idx=[
+        index[(a, t.idx[y])] for a, y in zip(gp.idx, cand.q.idx)])
     return s, t
 
 

@@ -1,5 +1,7 @@
 """Base layer: elements, sets, functions, chosen pullbacks."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from polyfin.finset import (
     mediate,
     mk_finset,
     mk_fn,
-    pair_set,
+    ordered_finset,
     paranoid_checks,
     pullback,
 )
@@ -44,6 +46,11 @@ deep_elements = st.recursive(
         st.dictionaries(inner, inner, min_size=1, max_size=3).map(
             lambda d: Sect(d.items()))),
     max_leaves=8)
+
+
+def pair_set(f, g):
+    """Cardinality of the canonical pullback of (f, g), by brute force."""
+    return sum(1 for a in f.dom for b in g.dom if f(a) == g(b))
 
 
 def rebuild(e, rnd):
@@ -90,6 +97,15 @@ class TestElements:
         s2 = Sect([(Atom("a"), Atom("0")), (Atom("b"), Atom("1"))])
         assert s1 == s2
         assert s1[Atom("b")] == Atom("1")
+
+    def test_sect_lookup_by_identity_and_by_equality(self):
+        keys = [Pair(Atom(k), Atom("0")) for k in "cab"]
+        table = Sect([(k, Atom(f"v{i}")) for i, k in enumerate(keys)])
+        for i, k in enumerate(keys):
+            assert table[k] == Atom(f"v{i}")
+            assert table[Pair(Atom(k.left.token), Atom("0"))] == Atom(f"v{i}")
+        with pytest.raises(KeyError):
+            table[Atom("c")]
 
     def test_sect_rejects_duplicate_keys(self):
         with pytest.raises(DuplicateElement):
@@ -202,6 +218,149 @@ class TestMkFn:
         assert scrambled.graph == ordered.graph
         assert scrambled == ordered and hash(scrambled) == hash(ordered)
         assert all(scrambled(e) == v for e, v in pairs)
+
+
+class TestPositionTables:
+    """FinFn stores value positions over the canonical order; every derived
+    view must agree with a plain dict of pairs, also when the arguments
+    come from equal but distinct copies of dom and cod."""
+
+    @given(st.lists(deep_elements, unique=True, max_size=6),
+           st.lists(deep_elements, unique=True, min_size=1, max_size=5),
+           st.sampled_from(["any", "endo", "identity", "permutation"]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dict_reference(self, args, values, shape, rnd):
+        if shape != "any":
+            args = values = args or values
+        ref = {a: (a if shape == "identity" else rnd.choice(values))
+               for a in args}
+        if shape == "permutation":
+            ref = dict(zip(args, rnd.sample(args, len(args))))
+        dom, cod = FinSetObj(args), FinSetObj(values)
+        if shape != "any":
+            dom = cod
+        f = FinFn(dom, cod, list(ref.items()))
+        dom2 = FinSetObj(rebuild(a, rnd) for a in dom)
+        cod2 = dom2 if shape != "any" else FinSetObj(
+            rebuild(v, rnd) for v in cod)
+        pairs2 = [(rebuild(a, rnd), rebuild(v, rnd)) for a, v in ref.items()]
+        rnd.shuffle(pairs2)
+        f2 = FinFn(dom2, cod2, pairs2)
+
+        assert all(f(a) == v and f(rebuild(a, rnd)) == v
+                   for a, v in ref.items())
+        assert f.graph == tuple(sorted(ref.items()))
+        for b in cod:
+            want = tuple(sorted(a for a, v in ref.items() if v == b))
+            assert f.fiber(b) == want == f2.fiber(rebuild(b, rnd))
+        image = set(ref.values())
+        assert f.image() == FinSetObj(image)
+        assert f.image().elements == tuple(sorted(image))
+        bijective = len(image) == len(ref) == len(cod)
+        assert f.is_bijective is f2.is_bijective is bijective
+        identity = (set(ref) == set(cod)
+                    and all(a == v for a, v in ref.items()))
+        assert f.is_identity is f2.is_identity is identity
+        if bijective:
+            inv = f.inverse()
+            assert all(inv(v) == a for a, v in ref.items())
+            assert compose_fn(inv, f2).is_identity
+        else:
+            with pytest.raises(IllFormedFunction, match="not bijective"):
+                f.inverse()
+        assert f == f2 and hash(f) == hash(f2)
+
+        targets = mk_finset(["p", "q"])
+        gref = {v: rnd.choice(targets.elements) for v in cod2}
+        g = FinFn(cod2, targets, list(gref.items()))
+        gf = compose_fn(g, f)
+        assert gf.dom is dom and gf.cod is targets
+        assert all(gf(a) == gref[v] for a, v in ref.items())
+        if ref and len(cod) > 1:
+            a0 = next(iter(ref))
+            other = next(v for v in cod if v != ref[a0])
+            changed = FinFn(dom, cod, list({**ref, a0: other}.items()))
+            assert changed != f
+
+    def test_idx_form_checks_length_and_range(self):
+        dom, cod = mk_finset(["a", "b"]), mk_finset(["x", "y", "z"])
+        f = FinFn(dom, cod, idx=[2, 0])
+        assert f.graph == ((Atom("a"), Atom("z")), (Atom("b"), Atom("x")))
+        assert f == FinFn(dom, cod, [(Atom("b"), Atom("x")),
+                                     (Atom("a"), Atom("z"))])
+        wider = mk_finset(["x", "y", "z", "zz"])
+        assert f != FinFn(dom, wider, idx=[2, 0])
+        assert f != FinFn(mk_finset(["a", "c"]), cod, idx=[2, 0])
+        for bad in ([0], [0, 1, 2], [0, 3], [-1, 0]):
+            with pytest.raises(IllFormedFunction):
+                FinFn(dom, cod, idx=bad)
+        with pytest.raises(IllFormedFunction):
+            FinFn(dom, mk_finset([]), idx=[0, 0])
+        assert FinFn(mk_finset([]), mk_finset([]), idx=[]).is_identity
+        with pytest.raises(TypeError):
+            FinFn(dom, cod, [(Atom("a"), Atom("x"))], idx=[0, 0])
+
+    @given(st.lists(deep_elements, unique=True, max_size=8),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_shuffled_and_presorted_input_agree(self, elems, rnd):
+        presorted = FinSetObj(sorted(elems))
+        shuffled = list(elems)
+        rnd.shuffle(shuffled)
+        from_shuffled = FinSetObj(shuffled)
+        assert from_shuffled.elements == presorted.elements
+        assert from_shuffled == presorted
+        assert hash(from_shuffled) == hash(presorted)
+        assert all(e in from_shuffled for e in elems)
+        if elems:
+            dup = rnd.choice(elems)
+            for listing in (sorted(elems + [dup]), shuffled + [dup]):
+                with pytest.raises(DuplicateElement,
+                                   match=rf"^duplicate element {re.escape(repr(dup))}$"):
+                    FinSetObj(listing)
+
+    def test_ordered_finset_rejects_reordering(self):
+        a, b = Atom("a"), Atom("b")
+        assert ordered_finset([a, b]).elements == (a, b)
+        with pytest.raises(AssertionError):
+            ordered_finset([b, a])
+
+
+class TestSquareBoundaries:
+    """A square whose apex, projections and legs do not line up is
+    rejected by commutes, check_pullback and mediate alike."""
+
+    def _squares(self):
+        a, b, c = mk_finset(["a1", "a2"]), mk_finset(["b"]), mk_finset(["c"])
+        f = constant_fn(a, c, Atom("c"))
+        g = constant_fn(b, c, Atom("c"))
+        good = pullback(f, g)
+        other = mk_finset(["u", "v"])
+        c2 = mk_finset(["c", "d"])
+        return good, [
+            PullbackSquare(other, good.proj1, good.proj2, f, g),
+            PullbackSquare(good.apex, good.proj2, good.proj1, f, g),
+            PullbackSquare(good.apex, good.proj1, good.proj2, f,
+                           constant_fn(b, c2, Atom("c"))),
+            PullbackSquare(good.apex, good.proj1,
+                           constant_fn(good.apex, a, Atom("a1")), f, g),
+        ]
+
+    def test_misaligned_squares_raise(self):
+        good, bad_squares = self._squares()
+        t1 = constant_fn(mk_finset(["t"]), good.proj1.cod, Atom("a2"))
+        t2 = constant_fn(mk_finset(["t"]), good.proj2.cod, Atom("b"))
+        assert mediate(good, t1, t2).graph == (
+            (Atom("t"), Pair(Atom("a2"), Atom("b"))),)
+        for sq in bad_squares:
+            with pytest.raises(NotASquare, match="do not line up"):
+                sq.commutes()
+            with pytest.raises(NotASquare, match="do not line up"):
+                check_pullback(sq)
+            if t1.cod == sq.proj1.cod and t2.cod == sq.proj2.cod:
+                with pytest.raises(NotASquare, match="do not line up"):
+                    mediate(sq, t1, t2)
 
 
 class TestComposeFn:

@@ -103,3 +103,33 @@ class TestMutationSensitivity:
                             mutant_associator)
         _assert_caught(run_law("associativity", CFG))
         _assert_caught(run_law("coherence", CFG))
+
+
+def test_checker_exception_is_recorded_per_case(monkeypatch, tmp_path):
+    """A checker that raises something outside the package's own errors
+    fails that case alone; the other cases still run and `check` exits 1."""
+    from polyfin import cli
+
+    doc, real = LAWS["units"]
+    calls = []
+
+    def flaky(rng, size):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise TypeError("unsupported operand in checker")
+        return real(rng, size)
+
+    monkeypatch.setitem(LAWS, "units", (doc, flaky))
+    report = run_law("units", CFG)
+    assert calls == list(range(CFG.cases))
+    assert report.failures == [{"case": 1, "detail": {
+        "error": "TypeError", "message": "unsupported operand in checker"}}]
+
+    calls.clear()
+    out = tmp_path / "report.json"
+    rc = cli.main(["check", "--law", "units", "--seed", "1", "--cases", "3",
+                   "-o", str(out)])
+    assert rc == 1
+    data = json.loads(out.read_text())
+    assert data["failures_total"] == 1
+    assert data["reports"][0]["failures"][0]["case"] == 1
