@@ -2,10 +2,12 @@
 
 Elements: atoms as strings, pairs as 2-element arrays, section tables as
 arrays of 2-element arrays.  A 2-element array always decodes as a pair,
-so a two-entry section table does not survive a round trip structurally;
-all boundary data produced by this package is atomic, and a decoded file
-is always internally consistent, so this only affects exotic hand-written
-input.  Sets are sorted arrays; functions carry dom, cod and graph.
+so a two-entry section table does not survive a round trip: composites
+and evaluation traces contain such tables (the composite of x^2+x then
+y^2+1 has four among its five B elements) and read back unequal; a
+tagged encoding is planned (ROADMAP item 5).  A decoded file is still
+internally consistent.  Sets are sorted arrays; functions carry dom, cod
+and map.
 """
 
 from __future__ import annotations

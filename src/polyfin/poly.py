@@ -538,67 +538,39 @@ def _chain_from(sdc: SubdividedComposite, i: int) -> FinFn:
 
 def _flatten_binary(outer: SubdividedComposite, a: SubdividedComposite,
                     b: SubdividedComposite) -> SubdividedComposite:
-    k, l = len(a.over), len(b.over)
-    w0, w1, w2 = outer.ys
-    u1, u2 = outer.q2s
-    r1s, r2s = outer.rs
-    s1s, s2s = outer.ss
-    ys: list[FinSetObj] = [w0]
+    ys: list[FinSetObj] = [outer.ys[0]]
     q2s: list[FinFn] = []
     rs: list[FinFn] = []
     ss: list[FinFn] = []
-    a_sqs = [pullback(s1s, _chain_from(a, i)) for i in range(1, k + 1)]
-    prev_into_w1 = u1
-    prev_into_side = r1s
-    for i in range(1, k + 1):
-        sq = a_sqs[i - 1]
-        step = mediate(sq, prev_into_w1, compose_fn(a.q2s[i - 1], prev_into_side))
-        q2s.append(step)
-        ys.append(sq.apex)
-        rs.append(compose_fn(a.rs[i - 1], prev_into_side))
-        ss.append(compose_fn(a.ss[i - 1], sq.proj2))
-        prev_into_w1 = sq.proj1
-        prev_into_side = sq.proj2
-    b_sqs = [pullback(s2s, _chain_from(b, j)) for j in range(1, l + 1)]
-    prev_into_w2 = u2
-    prev_into_side = r2s
-    for j in range(1, l + 1):
-        sq = b_sqs[j - 1]
-        step = mediate(sq, prev_into_w2, compose_fn(b.q2s[j - 1], prev_into_side))
-        q2s.append(step)
-        ys.append(sq.apex)
-        rs.append(compose_fn(b.rs[j - 1], prev_into_side))
-        ss.append(compose_fn(b.ss[j - 1], sq.proj2))
-        prev_into_w2 = sq.proj1
-        prev_into_side = sq.proj2
+    for side, into_w, into_side, leg in zip((a, b), outer.q2s, outer.rs,
+                                             outer.ss):
+        for i in range(len(side.over)):
+            sq = pullback(leg, _chain_from(side, i + 1))
+            q2s.append(mediate(sq, into_w,
+                               compose_fn(side.q2s[i], into_side)))
+            ys.append(sq.apex)
+            rs.append(compose_fn(side.rs[i], into_side))
+            ss.append(compose_fn(side.ss[i], sq.proj2))
+            into_w, into_side = sq.proj1, sq.proj2
     return SubdividedComposite(over=a.over + b.over, ys=tuple(ys),
                                q1=outer.q1, q2s=tuple(q2s), q3=outer.q3,
                                rs=tuple(rs), ss=tuple(ss))
 
 
 def associator(r: Polynomial, q: Polynomial, p: Polynomial) -> CartesianMorphism:
-    """Canonical invertible comparison r o (q o p) -> (r o q) o p.
-
-    Both bracketings are flattened over (p, q, r) and mediated into the
-    terminal subdivided composite; the comparison is the composite of one
-    mediation with the inverse of the other.
-    """
-    if p.tgt != q.src or q.tgt != r.src:
-        raise NotComposable("triple is not composable")
-    tower = terminal_tower([p, q, r])
-    flat_l = flatten_bracketing(Node(Node(Leaf(p), Leaf(q)), Leaf(r)))
-    flat_r = flatten_bracketing(Node(Leaf(p), Node(Leaf(q), Leaf(r))))
-    t_l = mediate_into_tower(tower, flat_l)
-    t_r = mediate_into_tower(tower, flat_r)
-    f0 = compose_fn(t_r.ts[0].inverse(), t_l.ts[0])
-    f1 = compose_fn(t_r.ts[-1].inverse(), t_l.ts[-1])
-    return CartesianMorphism(associated_polynomial(flat_l),
-                             associated_polynomial(flat_r), f0, f1)
+    """Canonical invertible comparison r o (q o p) -> (r o q) o p."""
+    return bracketing_comparison(Node(Node(Leaf(p), Leaf(q)), Leaf(r)),
+                                 Node(Leaf(p), Node(Leaf(q), Leaf(r))))
 
 
 def bracketing_comparison(tree_a: Leaf | Node,
                           tree_b: Leaf | Node) -> CartesianMorphism:
-    """Canonical comparison between any two bracketings of one sequence."""
+    """Canonical comparison between any two bracketings of one sequence.
+
+    Both bracketings are flattened over the leaf sequence and mediated into
+    the terminal subdivided composite; the comparison is the composite of
+    one mediation with the inverse of the other.
+    """
     leaves = bracketing_leaves(tree_a)
     if bracketing_leaves(tree_b) != leaves:
         raise NotComposable("bracketings are over different sequences")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .errors import (
     IllFormedMorphism,
@@ -161,17 +162,28 @@ def pi_make_element(f: FinFn, x: SliceObj, b: Element,
     return Pair(b, Sect(values.items()))
 
 
+def pi_tabulate(f: FinFn, x: SliceObj, base: FinFn,
+                value: Callable[[Element, Element], Element],
+                cod: FinSetObj) -> FinFn:
+    """The map base.dom -> cod tabulating one pi(f, x) section per point.
+
+    Each e goes to the element whose section over f's fiber of base(e)
+    sends each point a of that fiber to value(e, a); cod is the carrier
+    of pi(f, x) or a set equal to it.
+    """
+    return FinFn(base.dom, cod, [
+        (e, pi_make_element(f, x, b, {a: value(e, a) for a in f.fiber(b)}))
+        for e, b in base.graph])
+
+
 def pi_mor(f: FinFn, h: SliceMor) -> SliceMor:
     """Image of a slice morphism under the dependent product along f."""
     src = pi(f, h.src)
     tgt = pi(f, h.tgt)
-    pairs = []
-    for e in src.carrier:
-        b = src.arrow(e)
-        values = {a: h.mediating(pi_section_value(f, h.src, e, a))
-                  for a in f.fiber(b)}
-        pairs.append((e, pi_make_element(f, h.tgt, b, values)))
-    return SliceMor(src, tgt, FinFn(src.carrier, tgt.carrier, pairs))
+    return SliceMor(src, tgt, pi_tabulate(
+        f, h.tgt, src.arrow,
+        lambda e, a: h.mediating(pi_section_value(f, h.src, e, a)),
+        tgt.carrier))
 
 
 @dataclass(frozen=True)
@@ -230,6 +242,25 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     return DistPB(f, g, X, yslice.carrier, p, q, yslice.arrow)
 
 
+class _OuterIndex(dict):
+    """The points x of a square's apex, keyed by (left(x), right(x)).
+
+    Raises NotAPullbackAround when two points share a key, or when a key
+    with no point is looked up: the square is not a pullback then.
+    """
+
+    def __init__(self, left: FinFn, right: FinFn):
+        lcod, rcod = left.cod.elements, right.cod.elements
+        super().__init__(zip(zip(map(lcod.__getitem__, left.idx),
+                                 map(rcod.__getitem__, right.idx)),
+                             left.dom.elements))
+        if len(self) != len(left.dom):
+            raise NotAPullbackAround("outer square is not a pullback")
+
+    def __missing__(self, key):
+        raise NotAPullbackAround("outer square is not a pullback")
+
+
 def dpb_compare(cand: DistPB, canonical: DistPB) -> tuple[FinFn, FinFn]:
     """The unique morphism of pullbacks around (f, g) into the chosen one.
 
@@ -238,25 +269,10 @@ def dpb_compare(cand: DistPB, canonical: DistPB) -> tuple[FinFn, FinFn]:
     be a pullback.
     """
     f, g = cand.around_f, cand.around_g
-    gslice = SliceObj(g)
     gp = compose_fn(g, cand.p)
-    locate: dict[tuple[Element, Element], Element] = {}
-    for x in cand.X:
-        key = (cand.q(x), gp(x))
-        if key in locate:
-            raise NotAPullbackAround("outer square is not a pullback")
-        locate[key] = x
-    t_pairs = []
-    for y in cand.Y:
-        b = cand.r(y)
-        values = {}
-        for a in f.fiber(b):
-            x = locate.get((y, a))
-            if x is None:
-                raise NotAPullbackAround("outer square is not a pullback")
-            values[a] = cand.p(x)
-        t_pairs.append((y, pi_make_element(f, gslice, b, values)))
-    t = FinFn(cand.Y, canonical.Y, t_pairs)
+    locate = _OuterIndex(cand.q, gp)
+    t = pi_tabulate(f, SliceObj(g), cand.r,
+                    lambda y, a: cand.p(locate[y, a]), canonical.Y)
     gp_canonical = compose_fn(g, canonical.p)
     index = {key: i for i, key in
              enumerate(zip(gp_canonical.idx, canonical.q.idx))}
@@ -323,9 +339,6 @@ def _assert_unique_dpb_mediator(d: DistPB, cand: DistPB,
 
 
 def _all_fns(dom: FinSetObj, cod: FinSetObj):
-    if len(dom) == 0:
-        yield FinFn(dom, cod, [])
-        return
     for values in product(cod.elements, repeat=len(dom)):
         yield FinFn(dom, cod, list(zip(dom.elements, values)))
 
@@ -346,26 +359,12 @@ def delta_component(d: DistPB, z: SliceObj) -> SliceMor:
     lhs = sigma(d.r, piq)
     sg = sigma(g, z)
     rhs = pi(f, sg)
-    gp = compose_fn(g, d.p)
-    locate: dict[tuple[Element, Element], Element] = {}
-    for x in d.X:
-        key = (d.q(x), gp(x))
-        if key in locate:
-            raise NotAPullbackAround("outer square is not a pullback")
-        locate[key] = x
-    pairs = []
-    for e in piq.carrier:
-        y = piq.arrow(e)
-        b = d.r(y)
-        values = {}
-        for a in f.fiber(b):
-            x = locate.get((y, a))
-            if x is None:
-                raise NotAPullbackAround("outer square is not a pullback")
-            v = pi_section_value(d.q, dz, e, x)
-            values[a] = eps_p(v)
-        pairs.append((e, pi_make_element(f, sg, b, values)))
-    return SliceMor(lhs, rhs, FinFn(lhs.carrier, rhs.carrier, pairs))
+    locate = _OuterIndex(d.q, compose_fn(g, d.p))
+    return SliceMor(lhs, rhs, pi_tabulate(
+        f, sg, lhs.arrow,
+        lambda e, a: eps_p(pi_section_value(d.q, dz, e,
+                                            locate[piq.arrow(e), a])),
+        rhs.carrier))
 
 
 @dataclass(frozen=True)
@@ -483,14 +482,11 @@ def delta_pi_transpose(f: FinFn, y: SliceObj, x: SliceObj,
                        m: SliceMor) -> SliceMor:
     """Adjunct of m : delta_f y -> x across pullback -| dependent product."""
     sq = pullback_square_for_delta(f, y)
-    index = {(sq.proj1(e), sq.proj2(e)): e for e in sq.apex}
+    locate = _OuterIndex(sq.proj1, sq.proj2)
     target = pi(f, x)
-    pairs = []
-    for e in y.carrier:
-        b = y.arrow(e)
-        values = {a: m.mediating(index[(e, a)]) for a in f.fiber(b)}
-        pairs.append((e, pi_make_element(f, x, b, values)))
-    return SliceMor(y, target, FinFn(y.carrier, target.carrier, pairs))
+    return SliceMor(y, target, pi_tabulate(
+        f, x, y.arrow, lambda e, a: m.mediating(locate[e, a]),
+        target.carrier))
 
 
 def slice_pullback(m1: SliceMor, m2: SliceMor) -> tuple[SliceMor, SliceMor]:

@@ -267,6 +267,25 @@ class TestAssociator:
         path_comp = vcompose(step2, step1)
         assert (path_comp.f0, path_comp.f1) == (direct.f0, direct.f1)
 
+    def test_non_composable_triple(self):
+        x, y = identity_poly(mk_finset(["x"])), identity_poly(mk_finset(["y"]))
+        with pytest.raises(NotComposable, match="not composable"):
+            associator(y, y, x)
+        with pytest.raises(NotComposable, match="not composable"):
+            associator(x, y, y)
+
+    def test_comparison_needs_one_leaf_sequence(self, rng):
+        p, q, r = gen.rand_composable(rng, 3, 2)
+        with pytest.raises(NotComposable, match="different sequences"):
+            bracketing_comparison(Node(Leaf(p), Leaf(q)),
+                                  Node(Leaf(p), Leaf(r)))
+        with pytest.raises(NotComposable, match="different sequences"):
+            bracketing_comparison(Node(Leaf(p), Leaf(q)),
+                                  Node(Leaf(q), Leaf(p)))
+        with pytest.raises(NotComposable, match="not composable"):
+            bracketing_comparison(Node(Leaf(q), Leaf(p)),
+                                  Node(Leaf(q), Leaf(p)))
+
 
 class TestIsCartesian:
     def test_identity_morphism(self, rng):

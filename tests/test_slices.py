@@ -24,6 +24,7 @@ from polyfin.slices import (
     delta_component,
     delta_pi_transpose,
     dist_pullback,
+    dpb_mediate,
     induce_sections,
     left_bc_component,
     pi,
@@ -228,6 +229,63 @@ class TestDeltaComponent:
             z = gen.rand_slice(rng, d.around_g.dom, 2)
             comp = delta_component(d, z)
             assert len(comp.src.carrier) == len(comp.tgt.carrier)
+
+
+def _chosen_dpb():
+    a = mk_finset(["a1", "a2"])
+    b = mk_finset(["b"])
+    z = mk_finset(["z1", "z2", "z3"])
+    f = constant_fn(a, b, Atom("b"))
+    g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
+                     (Atom("z3"), Atom("a2"))])
+    return dist_pullback(f, g)
+
+
+def _with_points(d, pairs):
+    """d with X replaced by the given (x, image point of d.X) pairs."""
+    x2 = FinSetObj(x for x, _ in pairs)
+    p2 = FinFn(x2, d.p.cod, [(x, d.p(src)) for x, src in pairs])
+    q2 = FinFn(x2, d.Y, [(x, d.q(src)) for x, src in pairs])
+    return DistPB(d.around_f, d.around_g, x2, d.Y, p2, q2, d.r)
+
+
+def _duplicated_point(d):
+    """Commuting outer square with one X point twice: a repeated key."""
+    x0 = d.X.elements[0]
+    return _with_points(
+        d, [(x, x) for x in d.X] + [(Pair(Atom("dup"), x0), x0)])
+
+
+def _dropped_point(d):
+    """Commuting outer square with one X point missing: a (y, a) unmatched."""
+    return _with_points(d, [(x, x) for x in d.X.elements[1:]])
+
+
+class TestOuterSquareNotAPullback:
+    """Candidates whose outer square commutes but is not a pullback."""
+
+    @pytest.mark.parametrize("broken", [_duplicated_point, _dropped_point])
+    def test_delta_component_rejects(self, broken):
+        cand = broken(_chosen_dpb())
+        assert cand.outer_square().commutes()
+        with pytest.raises(NotAPullbackAround,
+                           match="outer square is not a pullback"):
+            delta_component(cand, terminal_slice(cand.around_g.dom))
+
+    @pytest.mark.parametrize("broken", [_duplicated_point, _dropped_point])
+    def test_dpb_mediate_rejects(self, broken):
+        d = _chosen_dpb()
+        cand = broken(d)
+        assert cand.outer_square().commutes()
+        with pytest.raises(NotAPullbackAround,
+                           match="outer square is not a pullback"):
+            dpb_mediate(d, cand.p, cand.q, cand.r)
+
+    def test_chosen_dpb_passes(self):
+        d = _chosen_dpb()
+        assert delta_component(d, terminal_slice(d.around_g.dom)).is_bijective
+        s, t = dpb_mediate(d, d.p, d.q, d.r)
+        assert s.is_identity and t.is_identity
 
 
 class TestBeckChevalley:
