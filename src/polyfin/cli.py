@@ -30,12 +30,14 @@ from .symbolic import decode, encode, fiber_slice, parse_poly
 
 
 def _emit(data, out_path: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
+    """Write json.dumps(data, indent=2, sort_keys=True) and a newline."""
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(jsonio.iterencode(data))
+            fh.write("\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(jsonio.iterencode(data))
+        sys.stdout.write("\n")
 
 
 def _read_json(path: str):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from typing import Iterator
 
 from .errors import IllFormedPolynomial, NotCartesian, NotComposable
 from .finset import (
@@ -668,26 +669,32 @@ def cartesian_homset(p: Polynomial, q: Polynomial) -> list[CartesianMorphism]:
         if len(wanted) != len(p.mid_src):
             continue
         xs = p.mid_src.elements
-        assignment: list = []
-
-        def backtrack(i: int, remaining: set) -> None:
-            if i == len(xs):
-                f0 = FinFn(p.mid_src, q.mid_src,
-                           list(zip(xs, assignment)))
-                out.append(CartesianMorphism(p, q, f0, f1))
-                return
-            x = xs[i]
-            b = p.p2(x)
-            for a in q.p1.fiber(p.p1(x)):
-                if (b, a) in remaining:
-                    assignment.append(a)
-                    remaining.remove((b, a))
-                    backtrack(i + 1, remaining)
-                    remaining.add((b, a))
-                    assignment.pop()
-
-        backtrack(0, set(wanted))
+        options = [[(p.p2(x), a) for a in q.p1.fiber(p.p1(x))] for x in xs]
+        for picks in _distinct_picks(options, 0, set(wanted), []):
+            f0 = FinFn(p.mid_src, q.mid_src,
+                       [(x, a) for x, (_, a) in zip(xs, picks)])
+            out.append(CartesianMorphism(p, q, f0, f1))
     return out
+
+
+def _distinct_picks(options: list[list], i: int, allowed: set,
+                    picks: list) -> Iterator[list]:
+    """Extensions of picks by one entry of each options[j], j >= i.
+
+    The entries are drawn from allowed without repetition, and the
+    extensions come in lexicographic order.  This is a module-level
+    recursion, so a call leaves no reference cycle behind.
+    """
+    if i == len(options):
+        yield picks
+        return
+    for c in options[i]:
+        if c in allowed:
+            allowed.remove(c)
+            picks.append(c)
+            yield from _distinct_picks(options, i + 1, allowed, picks)
+            picks.pop()
+            allowed.add(c)
 
 
 def sdc_morphisms(src: SubdividedComposite,

@@ -3,8 +3,11 @@
 import json
 import re
 
+import pytest
 
+from polyfin import jsonio
 from polyfin.cli import main
+from polyfin.poly import compose_seq
 
 EXPR = "x^3y + 2 ; 3x^2z + y"
 
@@ -53,7 +56,73 @@ class TestDecode:
         assert code == 2
 
 
+def _encoded(capsys, tmp_path, text="x^2 + x"):
+    path = tmp_path / "p.json"
+    run(capsys, "encode", text, "--in", "x", "-o", str(path))
+    return path, json.loads(path.read_text())
+
+
+class TestReaderRejects:
+    """Malformed diagram files exit 2 with a parse error, never a traceback."""
+
+    def _decode(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "decode", str(bad))
+        assert code == 2
+        assert err.startswith("parse error") and "Traceback" not in err
+        return err
+
+    def test_map_entry_with_three_items(self, capsys, tmp_path):
+        _, data = _encoded(capsys, tmp_path)
+        data["p1"]["map"][0].append("extra")
+        assert "2-element" in self._decode(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("bad_map", [5, {"a": "b"}, "ab", None])
+    def test_map_not_an_array(self, capsys, tmp_path, bad_map):
+        _, data = _encoded(capsys, tmp_path)
+        data["p2"]["map"] = bad_map
+        assert "map must be an array" in self._decode(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("name", ["src", "A", "B", "tgt"])
+    def test_set_that_disagrees_with_the_legs(self, capsys, tmp_path, name):
+        _, data = _encoded(capsys, tmp_path)
+        data[name] = ["bogus"]
+        err = self._decode(capsys, tmp_path, data)
+        assert f"{name} does not match" in err
+
+    def test_inconsistent_sets_from_the_report(self, capsys, tmp_path):
+        _, data = _encoded(capsys, tmp_path)
+        data["A"], data["src"] = ["bogus"], []
+        self._decode(capsys, tmp_path, data)
+
+    def test_reordered_set_still_loads(self, capsys, tmp_path):
+        _, data = _encoded(capsys, tmp_path)
+        data["A"] = data["A"][::-1]
+        bad = tmp_path / "reordered.json"
+        bad.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "decode", str(bad))
+        assert code == 0 and json.loads(out)["text"] == "x + x^2"
+
+
 class TestCompose:
+    def test_output_is_json_dumps_of_the_composite(self, capsys, tmp_path):
+        f1, f2 = tmp_path / "p.json", tmp_path / "q.json"
+        run(capsys, "encode", "x^2 + x", "--in", "x", "--out", "y",
+            "-o", str(f1))
+        run(capsys, "encode", "y^2 + y + 1", "--in", "y", "--out", "z",
+            "-o", str(f2))
+        out = tmp_path / "comp.json"
+        code, _, _ = run(capsys, "compose", str(f1), str(f2), "-o", str(out))
+        assert code == 0
+        links = [jsonio.poly_from_json(json.loads(f.read_text()))
+                 for f in (f1, f2)]
+        expected = json.dumps(jsonio.poly_to_json(compose_seq(links)),
+                              indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == expected
+        code, stdout, _ = run(capsys, "compose", str(f1), str(f2))
+        assert code == 0 and stdout == expected
+
     def test_substitution_pipeline(self, capsys, tmp_path):
         f1 = tmp_path / "sq.json"
         f2 = tmp_path / "cube.json"

@@ -1,5 +1,7 @@
 """Polynomial diagrams: construction, composition, comparisons, homs."""
 
+import gc
+
 import pytest
 
 from polyfin import gen
@@ -378,6 +380,27 @@ class TestHomPullback:
                          and vcompose(pb, m).f1 == v.f1]
             assert len(mediators) == 1
             assert (mediators[0].f0, mediators[0].f1) == (probe.f0, probe.f1)
+
+
+class TestCartesianHomset:
+    def test_self_homset_contains_identity(self, rng):
+        for _ in range(10):
+            p = gen.rand_poly(rng, 3)
+            homs = cartesian_homset(p, p)
+            assert any(m.f0.is_identity and m.f1.is_identity for m in homs)
+            assert all(is_cartesian(m) for m in homs)
+
+    def test_leaves_no_reference_cycle(self, rng):
+        polys = [gen.rand_poly(rng, 3) for _ in range(20)]
+        gc.collect()
+        gc.disable()
+        try:
+            found = sum(len(cartesian_homset(p, p)) for p in polys)
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert found >= len(polys)
+        assert freed == 0
 
 
 class TestLftRgtAdjunction:
