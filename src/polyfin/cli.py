@@ -33,10 +33,10 @@ def _emit(data, out_path: str | None) -> None:
     """Write json.dumps(data, indent=2, sort_keys=True) and a newline."""
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(jsonio.iterencode(data))
+            json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        sys.stdout.writelines(jsonio.iterencode(data))
+        json.dump(data, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
 
 
@@ -48,6 +48,8 @@ def _read_json(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}", 0) from exc
+    except RecursionError:
+        raise ParseError(f"cannot read {path}: nested too deeply", 0) from None
 
 
 def _split_csv(text: str | None) -> list[str] | None:

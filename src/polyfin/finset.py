@@ -22,6 +22,7 @@ laws downstream hold strictly rather than up to isomorphism.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import attrgetter, is_, lt
 from typing import Iterable, Iterator
@@ -33,23 +34,21 @@ from .errors import (
     NotComposable,
 )
 
-_PARANOID = False
+_PARANOID: ContextVar[bool] = ContextVar("polyfin_paranoid", default=False)
 
 
 @contextmanager
 def paranoid_checks() -> Iterator[None]:
     """Re-verify every induced unique map by exhaustive search while active."""
-    global _PARANOID
-    previous = _PARANOID
-    _PARANOID = True
+    token = _PARANOID.set(True)
     try:
         yield
     finally:
-        _PARANOID = previous
+        _PARANOID.reset(token)
 
 
 def paranoid_enabled() -> bool:
-    return _PARANOID
+    return _PARANOID.get()
 
 
 class Element:
@@ -423,7 +422,7 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
             positions.append(index[target])
         except KeyError:
             raise NotASquare("square lacks the pullback property") from None
-    if _PARANOID:
+    if _PARANOID.get():
         for x in t1.dom:
             hits = [e for e in sq.apex
                     if sq.proj1(e) == t1(x) and sq.proj2(e) == t2(x)]

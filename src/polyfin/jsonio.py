@@ -1,220 +1,152 @@
 """JSON encodings for every value the CLI reads or writes.
 
-Elements: atoms as strings, pairs as 2-element arrays, section tables as
-arrays of 2-element arrays.  A 2-element array always decodes as a pair,
-so a two-entry section table does not survive a round trip: composites
-and evaluation traces contain such tables (the composite of x^2+x then
-y^2+1 has four among its five B elements) and read back unequal; a
-tagged encoding is planned (ROADMAP item 5).  A decoded file is still
-internally consistent.  Sets are sorted arrays; functions carry dom, cod
-and map.  A polynomial's src, A, B and tgt must equal the sets its legs
-p1, p2 and p3 run between.
+Every payload is ``{"version": 2, "nodes": [...], <fields>}``.  ``nodes``
+holds each distinct element once, children before parents: an atom is
+``["atom", token]``, a pair ``["pair", l, r]`` and a section table
+``["sect", [[k, v], ...]]``, where l, r, k and v are ids (positions in
+``nodes``) of earlier nodes.  A set is an array of node ids; a function is
+``{"dom": ids, "cod": ids, "map": positions}``, where ``map[i]`` is the
+position in the function's own ``cod`` array of the value at ``dom[i]``.
+A function together with its payload's version and nodes is itself a
+function payload.  A polynomial's src, A, B and tgt must equal the sets
+its legs p1, p2 and p3 run between.
 
-Each top-level call does its work once per distinct element, however often
-the element recurs.  A ``*_to_json`` call converts each element and each
-set once and returns the same JSON value wherever it recurs, and
-``iterencode`` renders a value reached more than once a single time.
-``poly_from_json`` keeps one memo for the call, keyed by an element's
-compact JSON text, so each distinct element is decoded once and the legs
-share their Element instances.  No memo outlives its call.
+A payload without ``"version"`` is read in the older nested form: atoms as
+strings, pairs as 2-element arrays, section tables as arrays of 2-element
+arrays, and maps as ``[argument, value]`` arrays.  Any file that breaks a
+rule of either form raises ParseError.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
+from contextlib import contextmanager
 from typing import Any, Iterator
 
-from .errors import ParseError
+from .errors import (
+    DuplicateElement,
+    IllFormedFunction,
+    IllFormedPolynomial,
+    ParseError,
+)
 from .extension import EvalTrace
 from .finset import Atom, Element, FinFn, FinSetObj, Pair, Sect
 from .poly import CartesianMorphism, Polynomial, SubdividedComposite, mk_poly
 from .slices import DistPB
 
 
-class _ToJson:
-    """One conversion; memo maps each element and set to its JSON value."""
+class _Writer:
+    """One payload's node table; ids maps each element to its node id."""
 
-    __slots__ = ("memo",)
+    __slots__ = ("ids", "nodes")
 
     def __init__(self) -> None:
-        self.memo: dict[Element | FinSetObj, Any] = {}
+        self.ids: dict[Element, int] = {}
+        self.nodes: list[list] = []
 
-    def element(self, e: Element) -> Any:
-        if isinstance(e, Atom):
-            return e.token
-        out = self.memo.get(e)
-        if out is None:
-            if isinstance(e, Pair):
-                out = [self.element(e.left), self.element(e.right)]
-            elif isinstance(e, Sect):
-                out = [[self.element(k), self.element(v)]
-                       for k, v in e.entries]
+    def element(self, e: Element) -> int:
+        i = self.ids.get(e)
+        if i is None:
+            if isinstance(e, Atom):
+                node = ["atom", e.token]
+            elif isinstance(e, Pair):
+                node = ["pair", self.element(e.left), self.element(e.right)]
             else:
-                raise TypeError(f"not an element: {e!r}")
-            self.memo[e] = out
-        return out
+                node = ["sect", [[self.element(k), self.element(v)]
+                                 for k, v in e.entries]]
+            i = self.ids[e] = len(self.nodes)
+            self.nodes.append(node)
+        return i
 
-    def finset(self, s: FinSetObj) -> list:
-        out = self.memo.get(s)
-        if out is None:
-            out = self.memo[s] = [self.element(e) for e in s]
-        return out
+    def finset(self, s: FinSetObj) -> list[int]:
+        return list(map(self.element, s.elements))
 
     def fn(self, f: FinFn) -> dict:
-        dom, cod = self.finset(f.dom), self.finset(f.cod)
-        return {"dom": dom, "cod": cod,
-                "map": [[a, cod[j]] for a, j in zip(dom, f.idx)]}
+        return {"dom": self.finset(f.dom), "cod": self.finset(f.cod),
+                "map": list(f.idx)}
 
     def poly(self, p: Polynomial) -> dict:
         return {"src": self.finset(p.src), "A": self.finset(p.mid_src),
                 "B": self.finset(p.mid_tgt), "tgt": self.finset(p.tgt),
                 "p1": self.fn(p.p1), "p2": self.fn(p.p2), "p3": self.fn(p.p3)}
 
+    def payload(self, **fields: Any) -> dict:
+        return {"version": 2, "nodes": self.nodes, **fields}
 
-def element_to_json(e: Element) -> Any:
-    return _ToJson().element(e)
+
+def element_to_json(e: Element) -> dict:
+    w = _Writer()
+    return w.payload(element=w.element(e))
 
 
 def fn_to_json(f: FinFn) -> dict:
-    return _ToJson().fn(f)
+    w = _Writer()
+    return w.payload(**w.fn(f))
 
 
 def poly_to_json(p: Polynomial) -> dict:
-    return _ToJson().poly(p)
+    w = _Writer()
+    return w.payload(**w.poly(p))
 
 
 def cartesian_to_json(m: CartesianMorphism) -> dict:
-    w = _ToJson()
-    return {"p": w.poly(m.src_poly), "q": w.poly(m.tgt_poly),
-            "f0": w.fn(m.f0), "f1": w.fn(m.f1)}
+    w = _Writer()
+    return w.payload(p=w.poly(m.src_poly), q=w.poly(m.tgt_poly),
+                     f0=w.fn(m.f0), f1=w.fn(m.f1))
 
 
 def dpb_to_json(d: DistPB) -> dict:
-    w = _ToJson()
-    return {"f": w.fn(d.around_f), "g": w.fn(d.around_g),
-            "X": w.finset(d.X), "Y": w.finset(d.Y),
-            "p": w.fn(d.p), "q": w.fn(d.q), "r": w.fn(d.r)}
+    w = _Writer()
+    return w.payload(f=w.fn(d.around_f), g=w.fn(d.around_g),
+                     X=w.finset(d.X), Y=w.finset(d.Y),
+                     p=w.fn(d.p), q=w.fn(d.q), r=w.fn(d.r))
 
 
 def sdc_to_json(s: SubdividedComposite) -> dict:
-    w = _ToJson()
-    return {"over": [w.poly(p) for p in s.over],
-            "Ys": [w.finset(y) for y in s.ys],
-            "q1": w.fn(s.q1), "q2s": [w.fn(f) for f in s.q2s],
-            "q3": w.fn(s.q3), "rs": [w.fn(f) for f in s.rs],
-            "ss": [w.fn(f) for f in s.ss]}
+    w = _Writer()
+    return w.payload(over=[w.poly(p) for p in s.over],
+                     Ys=[w.finset(y) for y in s.ys],
+                     q1=w.fn(s.q1), q2s=[w.fn(f) for f in s.q2s],
+                     q3=w.fn(s.q3), rs=[w.fn(f) for f in s.rs],
+                     ss=[w.fn(f) for f in s.ss])
 
 
 def eval_trace_to_json(t: EvalTrace) -> dict:
-    w = _ToJson()
-    return {"input": w.fn(t.input.arrow),
-            "C2": w.finset(t.C2), "C3": w.finset(t.C3),
-            "C4": w.finset(t.C4), "counit": w.fn(t.counit),
-            "delta_arrow": w.fn(t.delta_arrow),
-            "dpb_p": w.fn(t.dpb_p), "dpb_q": w.fn(t.dpb_q),
-            "dpb_r": w.fn(t.dpb_r),
-            "output": w.fn(t.output.arrow)}
+    w = _Writer()
+    return w.payload(input=w.fn(t.input.arrow),
+                     C2=w.finset(t.C2), C3=w.finset(t.C3),
+                     C4=w.finset(t.C4), counit=w.fn(t.counit),
+                     delta_arrow=w.fn(t.delta_arrow),
+                     dpb_p=w.fn(t.dpb_p), dpb_q=w.fn(t.dpb_q),
+                     dpb_r=w.fn(t.dpb_r), output=w.fn(t.output.arrow))
 
 
-def iterencode(value: Any) -> Iterator[str]:
-    """Chunks that join to json.dumps(value, indent=2, sort_keys=True).
-
-    value must be acyclic, with string keys.  A list or dict reached more
-    than once is rendered once, at depth 0, and re-indented at each use;
-    only those texts are kept.  Every other container is streamed.
-    """
-    if not isinstance(value, (list, tuple, dict)):
-        return iter((_scalar(value),))
-    uses: dict[int, int] = {}
-    todo = [value]
-    while todo:
-        v = todo.pop()
-        n = uses.get(id(v), 0)
-        uses[id(v)] = n + 1
-        if not n:
-            todo.extend(c for c in (v.values() if isinstance(v, dict) else v)
-                        if isinstance(c, (list, tuple, dict)))
-    return _chunks(value, 0, uses, {})
+def _fn_fields(data: Any) -> tuple[Any, Any, list]:
+    if not isinstance(data, dict) or not {"dom", "cod", "map"} <= set(data):
+        raise ParseError("a function needs dom, cod and map", 0)
+    return data["dom"], data["cod"], _array(data["map"], "a function's map")
 
 
-def _scalar(v: Any) -> str:
-    return encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
+def _array(data: Any, what: str = "a set") -> list:
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be an array", 0)
+    return data
 
 
-def _chunks(v: Any, depth: int, uses: dict[int, int],
-            texts: dict[int, str]) -> Iterator[str]:
-    """The text of container v at depth, one use of v counted in uses."""
-    if uses[id(v)] > 1:
-        text = texts.get(id(v))
-        if text is None:
-            text = texts[id(v)] = "".join(_body(v, 0, uses, texts))
-        yield text.replace("\n", "\n" + "  " * depth) if depth else text
-    else:
-        yield from _body(v, depth, uses, texts)
+class _Reader:
+    """Reads sets through the element method of a subclass."""
+
+    def finset(self, data: Any) -> FinSetObj:
+        return FinSetObj(map(self.element, _array(data)))
 
 
-def _body(v: Any, depth: int, uses: dict[int, int],
-          texts: dict[int, str]) -> Iterator[str]:
-    if not v:
-        yield "{}" if isinstance(v, dict) else "[]"
-        return
-    inner = "\n" + "  " * (depth + 1)
-    sep = inner
-    if isinstance(v, dict):
-        yield "{"
-        for key, item in sorted(v.items()):
-            yield sep + encode_basestring_ascii(key) + ": "
-            if isinstance(item, (list, tuple, dict)):
-                yield from _chunks(item, depth + 1, uses, texts)
-            else:
-                yield _scalar(item)
-            sep = "," + inner
-        yield "\n" + "  " * depth + "}"
-        return
-    yield "["
-    for item in v:
-        if isinstance(item, (list, tuple, dict)):
-            yield sep
-            yield from _chunks(item, depth + 1, uses, texts)
-        else:
-            yield sep + _scalar(item)
-        sep = "," + inner
-    yield "\n" + "  " * depth + "]"
-
-
-_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-
-
-class _FromJson:
-    """One decoding; memo maps an element's compact JSON text to its Element.
-
-    atoms maps a token to its Atom, and sets pairs each set array decoded
-    so far with its FinSetObj, so an equal array is decoded only once.
-    """
-
-    __slots__ = ("memo", "atoms", "sets")
-
-    def __init__(self) -> None:
-        self.memo: dict[str, Element] = {}
-        self.atoms: dict[str, Atom] = {}
-        self.sets: list[tuple[list, FinSetObj]] = []
+class _NestedReader(_Reader):
+    """Reads elements written out in full (payloads without a version)."""
 
     def element(self, data: Any) -> Element:
         if isinstance(data, str):
-            e = self.atoms.get(data)
-            if e is None:
-                e = self.atoms[data] = Atom(data)
-            return e
+            return Atom(data)
         if not isinstance(data, list):
             raise ParseError(f"cannot decode element from {data!r}", 0)
-        key = _compact(data)
-        e = self.memo.get(key)
-        if e is None:
-            e = self.memo[key] = self._compound(data)
-        return e
-
-    def _compound(self, data: list) -> Element:
         if len(data) == 2:
             return Pair(self.element(data[0]), self.element(data[1]))
         entries = []
@@ -224,49 +156,104 @@ class _FromJson:
             entries.append((self.element(item[0]), self.element(item[1])))
         return Sect(entries)
 
-    def finset(self, data: Any) -> FinSetObj:
-        if not isinstance(data, list):
-            raise ParseError("a set must be an array", 0)
-        for raw, s in self.sets:
-            if raw == data:
-                return s
-        s = FinSetObj(self.element(e) for e in data)
-        self.sets.append((data, s))
-        return s
-
     def fn(self, data: Any) -> FinFn:
-        if not isinstance(data, dict) or not {"dom", "cod", "map"} <= set(data):
-            raise ParseError("a function needs dom, cod and map", 0)
-        dom = self.finset(data["dom"])
-        cod = self.finset(data["cod"])
-        pairs = data["map"]
-        if not isinstance(pairs, list):
-            raise ParseError("a function's map must be an array", 0)
+        dom, cod, pairs = _fn_fields(data)
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError("map entries must be 2-element arrays", 0)
-        return FinFn(dom, cod, [(self.element(a), self.element(v))
-                                for a, v in pairs])
+        return FinFn(self.finset(dom), self.finset(cod),
+                     [(self.element(a), self.element(v)) for a, v in pairs])
+
+
+def _node_id(i: Any, n: int) -> int:
+    if type(i) is not int or not 0 <= i < n:
+        raise ParseError(f"node id {i!r} is out of range (needs 0 <= id < {n})",
+                         0)
+    return i
+
+
+class _NodeReader(_Reader):
+    """Reads a version-2 payload; elems[i] is the element of node i."""
+
+    def __init__(self, nodes: Any) -> None:
+        elems: list[Element] = []
+        for node in _array(nodes, "nodes"):
+            n = len(elems)
+            tag = node[0] if isinstance(node, list) and node else None
+            if tag == "atom" and len(node) == 2 and isinstance(node[1], str):
+                elems.append(Atom(node[1]))
+            elif tag == "pair" and len(node) == 3:
+                elems.append(Pair(elems[_node_id(node[1], n)],
+                                  elems[_node_id(node[2], n)]))
+            elif tag == "sect" and len(node) == 2 and isinstance(node[1], list):
+                if not all(isinstance(kv, list) and len(kv) == 2
+                           for kv in node[1]):
+                    raise ParseError("section entries must be id pairs", 0)
+                elems.append(Sect((elems[_node_id(k, n)], elems[_node_id(v, n)])
+                                  for k, v in node[1]))
+            else:
+                raise ParseError(f"unknown node {node!r}", 0)
+        self.elems = elems
+
+    def element(self, data: Any) -> Element:
+        return self.elems[_node_id(data, len(self.elems))]
+
+    def fn(self, data: Any) -> FinFn:
+        dom, cod, positions = _fn_fields(data)
+        args = list(map(self.element, _array(dom)))
+        values = list(map(self.element, _array(cod)))
+        if len(positions) != len(args):
+            raise ParseError("a function's map and dom differ in length", 0)
+        if not all(type(j) is int and 0 <= j < len(values) for j in positions):
+            raise ParseError("map entries must be positions in cod", 0)
+        return FinFn(FinSetObj(args), FinSetObj(values),
+                     zip(args, map(values.__getitem__, positions)))
+
+
+def _reader(data: Any) -> _Reader:
+    if not isinstance(data, dict):
+        raise ParseError("a payload must be an object", 0)
+    if "version" not in data:
+        return _NestedReader()
+    if type(data["version"]) is not int or data["version"] != 2:
+        raise ParseError(f"unknown version {data['version']!r}", 0)
+    return _NodeReader(data.get("nodes"))
+
+
+@contextmanager
+def _as_parse_errors() -> Iterator[None]:
+    """A file that breaks a set, function or nesting rule is a parse error."""
+    try:
+        yield
+    except (DuplicateElement, IllFormedFunction, IllFormedPolynomial) as exc:
+        raise ParseError(str(exc), 0) from exc
+    except RecursionError:
+        raise ParseError("elements are nested too deeply", 0) from None
 
 
 def element_from_json(data: Any) -> Element:
-    return _FromJson().element(data)
+    with _as_parse_errors():
+        if isinstance(data, dict):
+            return _reader(data).element(data.get("element"))
+        return _NestedReader().element(data)
 
 
 def fn_from_json(data: Any) -> FinFn:
-    return _FromJson().fn(data)
+    with _as_parse_errors():
+        return _reader(data).fn(data)
 
 
 def poly_from_json(data: Any) -> Polynomial:
-    if not isinstance(data, dict):
-        raise ParseError("a polynomial must be an object", 0)
-    missing = {"src", "A", "B", "tgt", "p1", "p2", "p3"} - set(data)
-    if missing:
-        raise ParseError(f"polynomial is missing {sorted(missing)}", 0)
-    r = _FromJson()
-    p = mk_poly(r.fn(data["p1"]), r.fn(data["p2"]), r.fn(data["p3"]))
-    for name, leg, legs in (("src", "p1.cod", p.src), ("A", "p1.dom", p.mid_src),
-                            ("B", "p2.cod", p.mid_tgt), ("tgt", "p3.cod", p.tgt)):
-        if r.finset(data[name]) != legs:
-            raise ParseError(f"{name} does not match {leg}", 0)
-    return p
+    with _as_parse_errors():
+        r = _reader(data)
+        missing = {"src", "A", "B", "tgt", "p1", "p2", "p3"} - set(data)
+        if missing:
+            raise ParseError(f"polynomial is missing {sorted(missing)}", 0)
+        p = mk_poly(r.fn(data["p1"]), r.fn(data["p2"]), r.fn(data["p3"]))
+        for name, leg, legs in (("src", "p1.cod", p.src),
+                                ("A", "p1.dom", p.mid_src),
+                                ("B", "p2.cod", p.mid_tgt),
+                                ("tgt", "p3.cod", p.tgt)):
+            if r.finset(data[name]) != legs:
+                raise ParseError(f"{name} does not match {leg}", 0)
+        return p

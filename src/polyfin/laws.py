@@ -8,6 +8,7 @@ report.  Identical seed and configuration give identical reports.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -705,6 +706,10 @@ def _law_substitution(rng: random.Random, size: int) -> dict | None:
                 {"z": tuple(tuple("y" for _ in mono)
                             for mono in raw_q.monomials[raw_q.out_vars[0]])})
     composite = compose2(encode(q), encode(p))
+    text = json.dumps(jsonio.poly_to_json(composite))
+    if jsonio.poly_from_json(json.loads(text)) != composite:
+        return {"p": p.render(), "q": q.render(),
+                "issue": "composite does not read back equal"}
     decoded = decode(composite)
     expected = substitute(q, p)
     if decoded.monomials != {"z": expected.monomials["z"]}:
@@ -770,7 +775,8 @@ LAWS: dict[str, tuple[str, object]] = {
     "roundtrip": ("decoding an encoded expression returns it up to "
                   "monomial order", _law_roundtrip),
     "substitution": ("composition of encoded expressions is substitution "
-                     "of expressions", _law_substitution),
+                     "of expressions, and the composite reads back from "
+                     "JSON unchanged", _law_substitution),
 }
 
 

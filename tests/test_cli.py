@@ -2,11 +2,13 @@
 
 import json
 import re
+import sys
 
 import pytest
 
 from polyfin import jsonio
 from polyfin.cli import main
+from polyfin.errors import ParseError
 from polyfin.poly import compose_seq
 
 EXPR = "x^3y + 2 ; 3x^2z + y"
@@ -56,53 +58,217 @@ class TestDecode:
         assert code == 2
 
 
+# "x^2 + x" --in x as written before payloads carried a version.
+V1_FIXTURE = {
+    "src": ["x"], "A": ["m0.u0", "m1.u0", "m1.u1"], "B": ["m0", "m1"],
+    "tgt": ["out1"],
+    "p1": {"dom": ["m0.u0", "m1.u0", "m1.u1"], "cod": ["x"],
+           "map": [["m0.u0", "x"], ["m1.u0", "x"], ["m1.u1", "x"]]},
+    "p2": {"dom": ["m0.u0", "m1.u0", "m1.u1"], "cod": ["m0", "m1"],
+           "map": [["m0.u0", "m0"], ["m1.u0", "m1"], ["m1.u1", "m1"]]},
+    "p3": {"dom": ["m0", "m1"], "cod": ["out1"],
+           "map": [["m0", "out1"], ["m1", "out1"]]},
+}
+
+
+def _v1():
+    return json.loads(json.dumps(V1_FIXTURE))
+
+
 def _encoded(capsys, tmp_path, text="x^2 + x"):
     path = tmp_path / "p.json"
     run(capsys, "encode", text, "--in", "x", "-o", str(path))
     return path, json.loads(path.read_text())
 
 
-class TestReaderRejects:
-    """Malformed diagram files exit 2 with a parse error, never a traceback."""
+def _decode_fails(capsys, tmp_path, data):
+    """Decode data from a file: exit 2 with a parse error, no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "decode", str(bad))
+    assert code == 2
+    assert err.startswith("parse error") and "Traceback" not in err
+    return err
 
-    def _decode(self, capsys, tmp_path, data):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+
+def _decodes_to(capsys, tmp_path, data):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "decode", str(path))
+    assert code == 0
+    return json.loads(out)["text"]
+
+
+class TestReaderRejects:
+    """Malformed files without a version exit 2, never with a traceback."""
+
+    def test_fixture_loads(self, capsys, tmp_path):
+        assert _decodes_to(capsys, tmp_path, _v1()) == "x + x^2"
+
+    def test_map_entry_with_three_items(self, capsys, tmp_path):
+        data = _v1()
+        data["p1"]["map"][0].append("extra")
+        assert "2-element" in _decode_fails(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("bad_map", [5, {"a": "b"}, "ab", None])
+    def test_map_not_an_array(self, capsys, tmp_path, bad_map):
+        data = _v1()
+        data["p2"]["map"] = bad_map
+        assert "map must be an array" in _decode_fails(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("name", ["src", "A", "B", "tgt"])
+    def test_set_that_disagrees_with_the_legs(self, capsys, tmp_path, name):
+        data = _v1()
+        data[name] = ["bogus"]
+        err = _decode_fails(capsys, tmp_path, data)
+        assert f"{name} does not match" in err
+
+    def test_inconsistent_sets_from_the_report(self, capsys, tmp_path):
+        data = _v1()
+        data["A"], data["src"] = ["bogus"], []
+        _decode_fails(capsys, tmp_path, data)
+
+    def test_reordered_set_still_loads(self, capsys, tmp_path):
+        data = _v1()
+        data["A"] = data["A"][::-1]
+        assert _decodes_to(capsys, tmp_path, data) == "x + x^2"
+
+    def test_duplicated_domain_element(self, capsys, tmp_path):
+        data = _v1()
+        data["p1"]["dom"].append("m0.u0")
+        assert "duplicate element" in _decode_fails(capsys, tmp_path, data)
+
+    def test_map_value_outside_cod(self, capsys, tmp_path):
+        data = _v1()
+        data["p1"]["map"][0][1] = "y"
+        err = _decode_fails(capsys, tmp_path, data)
+        assert "lies outside codomain" in err
+
+    def test_truncated_cod(self, capsys, tmp_path):
+        data = _v1()
+        data["p2"]["cod"] = ["m0"]
+        err = _decode_fails(capsys, tmp_path, data)
+        assert "lies outside codomain" in err
+
+    def test_deeply_nested_element(self, capsys, tmp_path):
+        deep_text = '["a", ' * 900 + '"x"' + "]" * 900
+        bad = tmp_path / "deep.json"
+        bad.write_text(json.dumps(V1_FIXTURE).replace('"m0.u0"', deep_text, 1))
         code, _, err = run(capsys, "decode", str(bad))
         assert code == 2
         assert err.startswith("parse error") and "Traceback" not in err
-        return err
+        deep = "x"
+        for _ in range(sys.getrecursionlimit() + 100):
+            deep = ["a", deep]
+        data = _v1()
+        data["p1"]["dom"][0] = deep
+        with pytest.raises(ParseError, match="nested too deeply"):
+            jsonio.poly_from_json(data)
 
-    def test_map_entry_with_three_items(self, capsys, tmp_path):
+    def test_deeply_nested_text(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "decode", str(bad))
+        assert code == 2
+        assert "nested too deeply" in err and "Traceback" not in err
+
+
+class TestReaderRejectsV2:
+    """Malformed version-2 files exit 2, never with a traceback."""
+
+    def test_written_file_is_version_2(self, capsys, tmp_path):
         _, data = _encoded(capsys, tmp_path)
-        data["p1"]["map"][0].append("extra")
-        assert "2-element" in self._decode(capsys, tmp_path, data)
+        assert data["version"] == 2
+        assert sorted(n[0] for n in data["nodes"]) == ["atom"] * 7
+        assert _decodes_to(capsys, tmp_path, data) == "x + x^2"
 
     @pytest.mark.parametrize("bad_map", [5, {"a": "b"}, "ab", None])
     def test_map_not_an_array(self, capsys, tmp_path, bad_map):
         _, data = _encoded(capsys, tmp_path)
         data["p2"]["map"] = bad_map
-        assert "map must be an array" in self._decode(capsys, tmp_path, data)
+        assert "map must be an array" in _decode_fails(capsys, tmp_path, data)
 
     @pytest.mark.parametrize("name", ["src", "A", "B", "tgt"])
     def test_set_that_disagrees_with_the_legs(self, capsys, tmp_path, name):
         _, data = _encoded(capsys, tmp_path)
-        data[name] = ["bogus"]
-        err = self._decode(capsys, tmp_path, data)
+        data[name] = data[name][:-1]
+        err = _decode_fails(capsys, tmp_path, data)
         assert f"{name} does not match" in err
 
     def test_inconsistent_sets_from_the_report(self, capsys, tmp_path):
         _, data = _encoded(capsys, tmp_path)
-        data["A"], data["src"] = ["bogus"], []
-        self._decode(capsys, tmp_path, data)
+        data["A"], data["src"] = data["A"][:1], []
+        _decode_fails(capsys, tmp_path, data)
 
-    def test_reordered_set_still_loads(self, capsys, tmp_path):
+    def test_reordered_sets_still_load(self, capsys, tmp_path):
         _, data = _encoded(capsys, tmp_path)
+        written = jsonio.poly_from_json(data)
         data["A"] = data["A"][::-1]
-        bad = tmp_path / "reordered.json"
-        bad.write_text(json.dumps(data))
-        code, out, _ = run(capsys, "decode", str(bad))
-        assert code == 0 and json.loads(out)["text"] == "x + x^2"
+        assert _decodes_to(capsys, tmp_path, data) == "x + x^2"
+        p2 = data["p2"]
+        p2["dom"], p2["map"] = p2["dom"][::-1], p2["map"][::-1]
+        p2["cod"] = p2["cod"][::-1]
+        p2["map"] = [len(p2["cod"]) - 1 - j for j in p2["map"]]
+        assert _decodes_to(capsys, tmp_path, data) == "x + x^2"
+        assert jsonio.poly_from_json(data) == written
+
+    def test_duplicated_domain_element(self, capsys, tmp_path):
+        _, data = _encoded(capsys, tmp_path)
+        data["p1"]["dom"].append(data["p1"]["dom"][0])
+        data["p1"]["map"].append(0)
+        assert "duplicate element" in _decode_fails(capsys, tmp_path, data)
+
+    def test_truncated_cod(self, capsys, tmp_path):
+        _, data = _encoded(capsys, tmp_path)
+        data["p2"]["cod"] = data["p2"]["cod"][:1]
+        err = _decode_fails(capsys, tmp_path, data)
+        assert "positions in cod" in err
+
+    @pytest.mark.parametrize("node_id", [-1, 7, 99, 1.0, True, "0", None])
+    def test_node_id_out_of_range(self, capsys, tmp_path, node_id):
+        _, data = _encoded(capsys, tmp_path)
+        data["A"][0] = node_id
+        assert "node id" in _decode_fails(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("node", [["pair", 7, 0], ["pair", 0, 7],
+                                      ["pair", -1, 0], ["sect", [[0, 7]]],
+                                      ["sect", [[8, 0]]]])
+    def test_node_refers_forward(self, capsys, tmp_path, node):
+        _, data = _encoded(capsys, tmp_path)
+        data["nodes"].append(node)
+        assert "node id" in _decode_fails(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("node", [["tuple", 0, 0], ["atom", 5], ["atom"],
+                                      ["pair", 0], [], "x", ["sect", [[0]]]])
+    def test_unknown_node(self, capsys, tmp_path, node):
+        _, data = _encoded(capsys, tmp_path)
+        data["nodes"].append(node)
+        _decode_fails(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("version", [1, 3, "2", 2.0, None])
+    def test_unknown_version(self, capsys, tmp_path, version):
+        _, data = _encoded(capsys, tmp_path)
+        data["version"] = version
+        assert "unknown version" in _decode_fails(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("entry", [True, 0.0, "0", None, [0]])
+    def test_map_entry_not_an_int(self, capsys, tmp_path, entry):
+        _, data = _encoded(capsys, tmp_path)
+        data["p1"]["map"][0] = entry
+        assert "positions in cod" in _decode_fails(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("entry", [-1, 1])
+    def test_map_entry_outside_cod(self, capsys, tmp_path, entry):
+        _, data = _encoded(capsys, tmp_path)
+        data["p1"]["map"][0] = entry
+        assert "positions in cod" in _decode_fails(capsys, tmp_path, data)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_map_length_differs_from_dom(self, capsys, tmp_path, change):
+        _, data = _encoded(capsys, tmp_path)
+        m = data["p2"]["map"]
+        data["p2"]["map"] = m[:-1] if change < 0 else m + [0]
+        assert "differ in length" in _decode_fails(capsys, tmp_path, data)
 
 
 class TestCompose:

@@ -1,5 +1,6 @@
 """Base layer: elements, sets, functions, chosen pullbacks."""
 
+import contextvars
 import re
 
 import pytest
@@ -30,6 +31,7 @@ from polyfin.finset import (
     mk_fn,
     ordered_finset,
     paranoid_checks,
+    paranoid_enabled,
     pullback,
 )
 
@@ -558,6 +560,15 @@ class TestMediate:
             with paranoid_checks():
                 u = mediate(sq, t1, t2)
             assert u == pick
+
+    def test_paranoid_checks_are_scoped(self):
+        assert not paranoid_enabled()
+        with paranoid_checks():
+            with paranoid_checks():
+                assert paranoid_enabled()
+            assert paranoid_enabled()
+            assert not contextvars.Context().run(paranoid_enabled)
+        assert not paranoid_enabled()
 
     def test_non_cone_rejected(self):
         a, b, c = mk_finset(["a"]), mk_finset(["b"]), mk_finset(["c1", "c2"])

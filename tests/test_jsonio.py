@@ -1,4 +1,4 @@
-"""JSON encoder and reader: exact text, shared elements, per-call memos."""
+"""JSON payloads: a node table per payload, and values that read back equal."""
 
 import json
 
@@ -6,49 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfin import jsonio
-from polyfin.finset import Pair
+from polyfin.cli import main
+from polyfin.extension import eval_obj
+from polyfin.finset import Atom, Pair, Sect
 from polyfin.poly import compose_seq
-from polyfin.symbolic import encode, parse_poly
+from polyfin.symbolic import encode, fiber_slice, parse_poly
 
-SCALARS = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
-           | st.floats() | st.text(alphabet=st.characters(), max_size=6)
-           | st.sampled_from(["", "\\", '"', "\n\t\x00", "é", "日本", "\U0001f600"]))
-KEYS = st.text(max_size=4) | st.sampled_from(["é", "a\nb", '"', "\U0001f600"])
+# Atoms, pairs and section tables (two-entry ones included), nested.
+elements = st.recursive(
+    st.sampled_from("abxy").map(Atom),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: Pair(*ab)),
+        st.dictionaries(inner, inner, min_size=1, max_size=3).map(
+            lambda d: Sect(d.items()))),
+    max_leaves=8)
 
 
-@st.composite
-def shared_json(draw):
-    """A JSON value whose containers may recur at several places and depths."""
-    pool = [draw(SCALARS), [], {}]
-    for _ in range(draw(st.integers(0, 8))):
-        kids = draw(st.lists(st.sampled_from(pool) | SCALARS, max_size=4))
-        if draw(st.booleans()):
-            node = kids
-        else:
-            keys = draw(st.lists(KEYS, min_size=len(kids), max_size=len(kids),
-                                 unique=True))
-            node = dict(zip(keys, kids))
-        pool.append(node)
-    return draw(st.sampled_from(pool))
+def _through_text(data):
+    return json.loads(json.dumps(data, indent=2, sort_keys=True))
 
 
 @settings(max_examples=200, deadline=None)
-@given(shared_json())
-def test_iterencode_matches_json_dumps(value):
-    assert ("".join(jsonio.iterencode(value))
-            == json.dumps(value, indent=2, sort_keys=True))
-
-
-def test_iterencode_renders_a_shared_container_at_every_depth():
-    leaf = {"b": [1, 2.5, None], "a": "é"}
-    shared = [leaf, [leaf]]
-    value = {"x": shared, "y": [[shared, leaf]], "z": (leaf,)}
-    assert ("".join(jsonio.iterencode(value))
-            == json.dumps(value, indent=2, sort_keys=True))
+@given(elements)
+def test_element_reads_back_equal(e):
+    data = _through_text(jsonio.element_to_json(e))
+    assert data["version"] == 2
+    assert jsonio.element_from_json(data) == e
 
 
 def _composite():
-    """x^3 + x then y^3 + 1: no two-entry section table, so it round-trips."""
+    """x^3 + x then y^3 + 1."""
     links = [encode(parse_poly("x^3 + x", in_vars=["x"], out_names=["y"])),
              encode(parse_poly("y^3 + 1", in_vars=["y"], out_names=["z"]))]
     return compose_seq(links)
@@ -56,8 +43,7 @@ def _composite():
 
 def test_decoded_composite_equals_built_one_and_shares_elements():
     built = _composite()
-    back = jsonio.poly_from_json(json.loads(
-        "".join(jsonio.iterencode(jsonio.poly_to_json(built)))))
+    back = jsonio.poly_from_json(_through_text(jsonio.poly_to_json(built)))
     assert back == built
     assert len(back.mid_src) == 48 and len(back.mid_tgt) == 9
     for a1, a2 in zip(back.p1.dom.elements, back.p2.dom.elements):
@@ -66,19 +52,51 @@ def test_decoded_composite_equals_built_one_and_shares_elements():
         assert b1 is b2
 
 
-def test_writer_shares_each_element_within_one_call():
-    data = jsonio.poly_to_json(_composite())
-    for a, (arg, _), (arg2, _) in zip(data["A"], data["p1"]["map"],
-                                      data["p2"]["map"]):
-        assert a is arg is arg2
-    assert data["A"] is data["p1"]["dom"] is data["p2"]["dom"]
+def test_writer_writes_each_element_once():
+    built = _composite()
+    data = jsonio.poly_to_json(built)
+    nodes = [json.dumps(n) for n in data["nodes"]]
+    assert len(nodes) == len(set(nodes))
+    assert data["A"] == data["p1"]["dom"] == data["p2"]["dom"]
+    assert data["B"] == data["p2"]["cod"] == data["p3"]["dom"]
+    assert data["p2"]["map"] == list(built.p2.idx)
 
 
-def test_reader_shares_repeated_subtrees_within_one_call_only():
-    raw = [["a", ["b", "c"]], ["a", ["b", "c"]]]
+def test_reader_shares_a_node_within_one_call_only():
+    raw = {"version": 2, "nodes": [["atom", "b"], ["pair", 0, 0],
+                                   ["pair", 1, 1]], "element": 2}
     e = jsonio.element_from_json(raw)
     assert isinstance(e, Pair) and e.left is e.right
-    inner = jsonio.element_from_json([[["b", "c"], "x"], [["b", "c"], "y"]])
-    assert inner.left.left is inner.right.left
     again = jsonio.element_from_json(raw)
     assert again == e and again is not e
+
+
+def test_readme_composite_and_eval_trace_read_back_equal(capsys, tmp_path):
+    paths = []
+    for text, var, out in (("x^2 + x", "x", "y"), ("y^2 + 1", "y", "z")):
+        paths.append(str(tmp_path / f"{var}.json"))
+        assert main(["encode", text, "--in", var, "--out", out,
+                     "-o", paths[-1]]) == 0
+    comp = tmp_path / "comp.json"
+    assert main(["compose", *paths, "-o", str(comp)]) == 0
+    links = [jsonio.poly_from_json(json.loads(open(p).read())) for p in paths]
+    built = compose_seq(links)
+    tables = [b for b in built.mid_tgt
+              if isinstance(b.right, Sect) and len(b.right.entries) == 2]
+    assert len(tables) == 4
+    assert jsonio.poly_from_json(json.loads(comp.read_text())) == built
+
+    expr, assign = "x^3y + 2 ; 3x^2z + y", "w=2,x=2,y=2,z=2"
+    p_file = tmp_path / "p.json"
+    assert main(["encode", expr, "--in", "w,x,y,z", "-o", str(p_file)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(p_file), "--assign", assign, "--trace"]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    p = encode(parse_poly(expr, in_vars=["w", "x", "y", "z"]))
+    _, t = eval_obj(p, fiber_slice(p, dict.fromkeys("wxyz", 2)))
+    arrows = {"input": t.input.arrow, "counit": t.counit,
+              "delta_arrow": t.delta_arrow, "dpb_p": t.dpb_p,
+              "dpb_q": t.dpb_q, "dpb_r": t.dpb_r, "output": t.output.arrow}
+    for name, arrow in arrows.items():
+        fn = {"version": 2, "nodes": trace["nodes"], **trace[name]}
+        assert jsonio.fn_from_json(fn) == arrow, name
