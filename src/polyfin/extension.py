@@ -28,7 +28,7 @@ from .slices import (
     SliceObj,
     delta_mor,
     dist_pullback,
-    dpb_mediate,
+    dpb_compare,
     pi_make_element,
     pi_section_value,
     pullback_square_for_delta,
@@ -66,12 +66,6 @@ class EvalTrace:
 class NatComponentTrace:
     """Audit record of one component of an induced transformation."""
 
-    C2: FinSetObj
-    C3: FinSetObj
-    C4: FinSetObj
-    C2p: FinSetObj
-    C3p: FinSetObj
-    C4p: FinSetObj
     f2: FinFn
     f3: FinFn
     f4: FinFn
@@ -81,12 +75,11 @@ class NatComponentTrace:
 
     def cross_squares(self) -> tuple[PullbackSquare, PullbackSquare, PullbackSquare]:
         """The three comparison squares between the two evaluation stages."""
-        s2 = PullbackSquare(self.C2, self.src_trace.delta_arrow, self.f2,
-                            self.m.f0, self.tgt_trace.delta_arrow)
-        s3 = PullbackSquare(self.C3, self.src_trace.dpb_p, self.f3,
-                            self.f2, self.tgt_trace.dpb_p)
-        s4 = PullbackSquare(self.C4, self.src_trace.dpb_r, self.f4,
-                            self.m.f1, self.tgt_trace.dpb_r)
+        src, tgt = self.src_trace, self.tgt_trace
+        s2 = PullbackSquare(src.C2, src.delta_arrow, self.f2,
+                            self.m.f0, tgt.delta_arrow)
+        s3 = PullbackSquare(src.C3, src.dpb_p, self.f3, self.f2, tgt.dpb_p)
+        s4 = PullbackSquare(src.C4, src.dpb_r, self.f4, self.m.f1, tgt.dpb_r)
         return s2, s3, s4
 
 
@@ -128,11 +121,10 @@ def nat_component(m: CartesianMorphism, x: SliceObj
     oq, tq = eval_obj(q, x)
     f2 = mediate(tq.delta_square(q), tp.counit,
                  compose_fn(m.f0, tp.delta_arrow))
-    f3, f4 = dpb_mediate(tq.dpb(q), compose_fn(f2, tp.dpb_p), tp.dpb_q,
+    f3, f4 = dpb_compare(tq.dpb(q), compose_fn(f2, tp.dpb_p), tp.dpb_q,
                          compose_fn(m.f1, tp.dpb_r))
     comp = SliceMor(op, oq, f4)
-    trace = NatComponentTrace(tp.C2, tp.C3, tp.C4, tq.C2, tq.C3, tq.C4,
-                              f2, f3, f4, tp, tq, m)
+    trace = NatComponentTrace(f2, f3, f4, tp, tq, m)
     return comp, trace
 
 

@@ -45,9 +45,6 @@ class InstanceGenConfig:
         if self.max_set_size < 1:
             raise ValueError("max_set_size must be at least 1")
 
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
 
 _counter = 0
 

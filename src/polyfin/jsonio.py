@@ -44,18 +44,41 @@ class _Writer:
         self.nodes: list[list] = []
 
     def element(self, e: Element) -> int:
-        i = self.ids.get(e)
-        if i is None:
-            if isinstance(e, Atom):
-                node = ["atom", e.token]
-            elif isinstance(e, Pair):
-                node = ["pair", self.element(e.left), self.element(e.right)]
+        """Node id of e, adding e and its unseen parts children first.
+
+        Iterative, so nesting depth is not bounded by the recursion limit;
+        nodes come out in the post-order of a left-to-right recursive walk.
+        """
+        ids, nodes = self.ids, self.nodes
+        i = ids.get(e)
+        if i is not None:
+            return i
+        stack = [e]
+        while stack:
+            top = stack[-1]
+            if isinstance(top, Pair):
+                left = ids.get(top.left)
+                if left is None:
+                    stack.append(top.left)
+                    continue
+                right = ids.get(top.right)
+                if right is None:
+                    stack.append(top.right)
+                    continue
+                node = ["pair", left, right]
+            elif isinstance(top, Atom):
+                node = ["atom", top.token]
             else:
-                node = ["sect", [[self.element(k), self.element(v)]
-                                 for k, v in e.entries]]
-            i = self.ids[e] = len(self.nodes)
-            self.nodes.append(node)
-        return i
+                unseen = [c for kv in top.entries for c in kv if c not in ids]
+                if unseen:
+                    stack.extend(reversed(unseen))
+                    continue
+                node = ["sect", [[ids[k], ids[v]] for k, v in top.entries]]
+            stack.pop()
+            if top not in ids:
+                ids[top] = len(nodes)
+                nodes.append(node)
+        return ids[e]
 
     def finset(self, s: FinSetObj) -> list[int]:
         return list(map(self.element, s.elements))

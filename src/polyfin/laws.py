@@ -63,6 +63,7 @@ from .slices import (
     delta_component,
     delta_pi_transpose,
     dist_pullback,
+    dpb_compare,
     induce_sections,
     pi,
     sigma,
@@ -229,7 +230,6 @@ def _cube_instance(rng: random.Random, size: int, tries: int = 10):
 
 
 def _law_cube(rng: random.Random, size: int) -> dict | None:
-    from .slices import dpb_mediate
     inner, mid, g2, k2, d4 = _cube_instance(rng, size)
     f2, h2 = inner.proj1, inner.proj2
     d2v, h3 = mid.proj1, mid.proj2
@@ -241,7 +241,7 @@ def _law_cube(rng: random.Random, size: int) -> dict | None:
     a1, d1v, f1, d5 = top.X, top.p, top.q, top.r
     b1 = top.Y
     u = compose_fn(h3, d1v)
-    h1_prime, k1_prime = dpb_mediate(bottom, u, f1, compose_fn(k2, d5))
+    h1_prime, k1_prime = dpb_compare(bottom, u, f1, compose_fn(k2, d5))
     sq1 = PullbackSquare(a1, d1v, h1_prime, h3, d3v)
     sq2 = PullbackSquare(b1, d5, k1_prime, k2, d6)
     reg12 = check_pullback(sq1) and check_pullback(sq2)

@@ -38,7 +38,7 @@ from .slices import (
     DistPB,
     SliceObj,
     dist_pullback,
-    dpb_mediate,
+    dpb_compare,
 )
 
 
@@ -425,12 +425,10 @@ def terminal_tower(seq: list[Polynomial],
             raise NotComposable("an empty sequence needs a base object")
         return TerminalTower((), identity_endospan(at), ())
     base = identity_endospan(seq[0].src)
-    stages = []
-    current = base
+    stages: list[_Stage] = []
     for p in seq:
-        stage = _extend_right_stage(p, current)
-        stages.append(stage)
-        current = stage.sdc
+        prev = stages[-1].sdc if stages else base
+        stages.append(_extend_right_stage(p, prev))
     return TerminalTower(seq, base, tuple(stages))
 
 
@@ -444,42 +442,39 @@ def mediate_into_tower(tower: TerminalTower,
                        sdc: SubdividedComposite) -> SdCMorphism:
     """The unique morphism from a subdivided composite into the terminal one.
 
-    Computed structurally stage by stage: mediate the restriction, lift
-    through the stage's distributivity pullback, then walk the chain of
-    pullbacks back to the start.
+    sdc may be any subdivided composite over the tower's sequence; the
+    target is the tower's own composite, whose stages are read as kept.
+    One forward walk over the stages: at stage k the components into the
+    previous stage's composite are lifted through the stage's chosen
+    distributivity pullback, then carried back to the start along the
+    stage's chain of pullbacks.
     """
     if sdc.over != tower.seq:
         raise NotComposable("composite is not over the tower's sequence")
-    ts = _mediate_components(tower, sdc, len(tower.seq))
+    if not tower.stages and sdc.q1 != sdc.q3:
+        raise NotComposable("no morphism into the identity endospan")
+    ts = [sdc.q1]
+    for k, stage in enumerate(tower.stages):
+        u = mediate(stage.csq, ts[k], sdc.rs[k])
+        t_last, t_end = dpb_compare(stage.dpb, u, sdc.q2s[k], sdc.ss[k])
+        nxt: list[FinFn | None] = [None] * k + [t_last, t_end]
+        for i in range(k - 1, -1, -1):
+            nxt[i] = mediate(stage.chain_sqs[i],
+                             compose_fn(nxt[i + 1], sdc.q2s[i]), ts[i])
+        ts = nxt
     return SdCMorphism(sdc, tower.sdc, tuple(ts))
 
 
-def _mediate_components(tower: TerminalTower, sdc: SubdividedComposite,
-                        n: int) -> list[FinFn]:
-    if n == 0:
-        if sdc.q1 != sdc.q3:
-            raise NotComposable("no morphism into the identity endospan")
-        return [sdc.q1]
-    prev = _mediate_components(tower, restrict_last(sdc), n - 1)
-    stage = tower.stages[n - 1]
-    u = mediate(stage.csq, prev[n - 1], sdc.rs[n - 1])
-    t_last, t_end = dpb_mediate(stage.dpb, u, sdc.q2s[n - 1], sdc.ss[n - 1])
-    ts: list[FinFn | None] = [None] * (n + 1)
-    ts[n] = t_end
-    ts[n - 1] = t_last
-    for i in range(n - 2, -1, -1):
-        ts[i] = mediate(stage.chain_sqs[i],
-                        compose_fn(ts[i + 1], sdc.q2s[i]), prev[i])
-    return ts
+def _chain_from(sdc: SubdividedComposite, i: int) -> FinFn:
+    maps = sdc.q2s[i:]
+    if maps:
+        return reduce(lambda acc, step: compose_fn(step, acc), maps)
+    return identity_fn(sdc.ys[i])
 
 
 def associated_polynomial(sdc: SubdividedComposite) -> Polynomial:
     """Outer boundary (q1, composite of the q2s, q3) of a composite."""
-    if sdc.q2s:
-        comp = reduce(lambda acc, step: compose_fn(step, acc), sdc.q2s)
-    else:
-        comp = identity_fn(sdc.ys[0])
-    return mk_poly(sdc.q1, comp, sdc.q3)
+    return mk_poly(sdc.q1, _chain_from(sdc, 0), sdc.q3)
 
 
 def compose_seq(seq: list[Polynomial],
@@ -528,13 +523,6 @@ def flatten_bracketing(tree: Leaf | Node) -> SubdividedComposite:
     mb = associated_polynomial(b)
     outer = terminal_sdc([ma, mb])
     return _flatten_binary(outer, a, b)
-
-
-def _chain_from(sdc: SubdividedComposite, i: int) -> FinFn:
-    maps = sdc.q2s[i:]
-    if maps:
-        return reduce(lambda acc, step: compose_fn(step, acc), maps)
-    return identity_fn(sdc.ys[i])
 
 
 def _flatten_binary(outer: SubdividedComposite, a: SubdividedComposite,
@@ -605,7 +593,8 @@ def hcompose2(g: CartesianMorphism, f: CartesianMorphism) -> CartesianMorphism:
         ss=(compose_fn(f.f1, s.ss[0]), compose_fn(g.f1, s.ss[1])))
     tower = terminal_tower([p2, q2])
     m = mediate_into_tower(tower, relabeled)
-    return CartesianMorphism(compose2(q, p), compose2(q2, p2),
+    return CartesianMorphism(associated_polynomial(s),
+                             associated_polynomial(tower.sdc),
                              m.ts[0], m.ts[-1])
 
 

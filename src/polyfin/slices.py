@@ -261,23 +261,28 @@ class _OuterIndex(dict):
         raise NotAPullbackAround("outer square is not a pullback")
 
 
-def dpb_compare(cand: DistPB, canonical: DistPB) -> tuple[FinFn, FinFn]:
-    """The unique morphism of pullbacks around (f, g) into the chosen one.
+def dpb_compare(d: DistPB, p: FinFn, q: FinFn, r: FinFn
+                ) -> tuple[FinFn, FinFn]:
+    """The unique morphism from a pullback-around into the chosen one.
 
-    Returns (s, t) with canonical.p o s = cand.p, canonical.q o s = t o
-    cand.q and canonical.r o t = cand.r.  Requires cand's outer square to
-    be a pullback.
+    d must be the chosen distributivity pullback dist_pullback(f, g), as
+    built or an equal copy; for any other target use dpb_mediate.  The
+    candidate (p, q, r) must be a pullback around (f, g); its shape is
+    checked here.  Returns (s, t) with d.p o s = p, d.q o s = t o q and
+    d.r o t = r.
     """
-    f, g = cand.around_f, cand.around_g
-    gp = compose_fn(g, cand.p)
-    locate = _OuterIndex(cand.q, gp)
-    t = pi_tabulate(f, SliceObj(g), cand.r,
-                    lambda y, a: cand.p(locate[y, a]), canonical.Y)
-    gp_canonical = compose_fn(g, canonical.p)
-    index = {key: i for i, key in
-             enumerate(zip(gp_canonical.idx, canonical.q.idx))}
-    s = FinFn(cand.X, canonical.X, idx=[
-        index[(a, t.idx[y])] for a, y in zip(gp.idx, cand.q.idx)])
+    f, g = d.around_f, d.around_g
+    cand = DistPB(f, g, p.dom, r.dom, p, q, r)
+    cand.validate_shape()
+    gp = compose_fn(g, p)
+    locate = _OuterIndex(q, gp)
+    t = pi_tabulate(f, SliceObj(g), r, lambda y, a: p(locate[y, a]), d.Y)
+    gp_chosen = compose_fn(g, d.p)
+    index = {key: i for i, key in enumerate(zip(gp_chosen.idx, d.q.idx))}
+    s = FinFn(p.dom, d.X, idx=[
+        index[(a, t.idx[y])] for a, y in zip(gp.idx, q.idx)])
+    if paranoid_enabled():
+        _assert_unique_dpb_mediator(d, cand, s, t)
     return s, t
 
 
@@ -288,34 +293,26 @@ def check_dpb_terminal(cand: DistPB) -> bool:
     the canonical comparison morphism being a pair of bijections.
     """
     cand.validate_shape()
-    if not check_pullback(cand.outer_square()):
-        raise NotAPullbackAround("outer square is not a pullback")
-    canonical = dist_pullback(cand.around_f, cand.around_g)
-    s, t = dpb_compare(cand, canonical)
+    chosen = dist_pullback(cand.around_f, cand.around_g)
+    s, t = dpb_compare(chosen, cand.p, cand.q, cand.r)
     return s.is_bijective and t.is_bijective
 
 
 def dpb_mediate(d: DistPB, p_cand: FinFn, q_cand: FinFn,
                 r_cand: FinFn) -> tuple[FinFn, FinFn]:
-    """Mediating morphism from a pullback-around into a terminal d.
+    """Mediating morphism from a pullback-around into any terminal d.
 
-    The candidate (p_cand, q_cand, r_cand) must be a pullback around
-    (d.around_f, d.around_g); d must be terminal.  Computed by comparing
-    both into the chosen distributivity pullback and inverting d's side.
+    d may be any distributivity pullback around (f, g), not only the
+    chosen one; a target known to be chosen goes to dpb_compare directly.
+    Rebuilds the chosen distributivity pullback, compares the candidate
+    and d into it, and inverts d's side.
     """
-    cand = DistPB(d.around_f, d.around_g, p_cand.dom, r_cand.dom,
-                  p_cand, q_cand, r_cand)
-    cand.validate_shape()
-    canonical = dist_pullback(d.around_f, d.around_g)
-    s_c, t_c = dpb_compare(cand, canonical)
-    s_d, t_d = dpb_compare(d, canonical)
+    chosen = dist_pullback(d.around_f, d.around_g)
+    s_c, t_c = dpb_compare(chosen, p_cand, q_cand, r_cand)
+    s_d, t_d = dpb_compare(chosen, d.p, d.q, d.r)
     if not (s_d.is_bijective and t_d.is_bijective):
         raise NotAPullbackAround("target is not a distributivity pullback")
-    s = compose_fn(s_d.inverse(), s_c)
-    t = compose_fn(t_d.inverse(), t_c)
-    if paranoid_enabled():
-        _assert_unique_dpb_mediator(d, cand, s, t)
-    return s, t
+    return compose_fn(s_d.inverse(), s_c), compose_fn(t_d.inverse(), t_c)
 
 
 def _assert_unique_dpb_mediator(d: DistPB, cand: DistPB,
@@ -431,7 +428,7 @@ def right_bc_component(square: CommutingSquare, x: SliceObj) -> SliceMor:
     to_b3 = top_sq.proj2
     u = mediate(src_sq, compose_fn(dpb1.q, to_b3),
                 compose_fn(h, compose_fn(dfx.arrow, to_a2)))
-    _, t = dpb_mediate(dpb2, to_a2, u, src.arrow)
+    _, t = dpb_compare(dpb2, to_a2, u, src.arrow)
     return SliceMor(src, tgt, t)
 
 

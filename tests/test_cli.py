@@ -271,6 +271,42 @@ class TestReaderRejectsV2:
         assert "differ in length" in _decode_fails(capsys, tmp_path, data)
 
 
+class TestDeeplyNestedElements:
+    """Elements nested deeper than the recursion limit are written too."""
+
+    def _deep(self, capsys, tmp_path, depth=100_000):
+        _, data = _encoded(capsys, tmp_path)
+        nodes = data["nodes"]
+        inner = nodes.index(["atom", "m0.u0"])
+        nodes.append(["atom", "w"])
+        partner, cur = len(nodes) - 1, inner
+        for _ in range(depth):
+            nodes.append(["pair", cur, partner])
+            cur = len(nodes) - 1
+        for ids in (data["A"], data["p1"]["dom"], data["p2"]["dom"]):
+            ids[ids.index(inner)] = cur
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_compose_then_decode(self, capsys, tmp_path):
+        deep = self._deep(capsys, tmp_path)
+        out = tmp_path / "comp.json"
+        code, _, err = run(capsys, "compose", str(deep), "-o", str(out))
+        assert code == 0, err
+        code, stdout, _ = run(capsys, "decode", str(out))
+        assert code == 0
+        assert json.loads(stdout)["text"] == "x + x^2"
+
+    def test_eval_trace(self, capsys, tmp_path):
+        deep = self._deep(capsys, tmp_path)
+        code, out, err = run(capsys, "eval", str(deep), "--assign", "x=2",
+                             "--trace")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["counts"] == {"out1": 6} and "C3" in data["trace"]
+
+
 class TestCompose:
     def test_output_is_json_dumps_of_the_composite(self, capsys, tmp_path):
         f1, f2 = tmp_path / "p.json", tmp_path / "q.json"

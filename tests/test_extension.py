@@ -2,7 +2,7 @@
 
 import pytest
 
-from polyfin import gen
+from polyfin import gen, slices
 from polyfin.errors import NotCartesian, NotComposable
 from polyfin.extension import (
     coherence_component,
@@ -19,9 +19,11 @@ from polyfin.finset import (
     compose_fn,
     identity_fn,
     mk_finset,
+    paranoid_checks,
 )
 from polyfin.poly import (
     CartesianMorphism,
+    associator,
     compose2,
     identity_cartesian,
     identity_poly,
@@ -129,6 +131,30 @@ class TestNatComponent:
         x = gen.rand_slice(rng, p.src, 2)
         comp, _ = nat_component(identity_cartesian(p), x)
         assert comp.mediating.is_identity
+
+    def test_paranoid_search_runs_on_chosen_targets(self, rng, monkeypatch):
+        real = slices._assert_unique_dpb_mediator
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(slices, "_assert_unique_dpb_mediator", counting)
+        p, q, r = gen.rand_composable(rng, 3, 2)
+        with paranoid_checks():
+            assert associator(r, q, p).is_iso
+        assert calls
+        calls.clear()
+        q = gen.rand_poly(rng, 2)
+        m = gen.rand_cartesian_into(rng, q, 2)
+        x = gen.rand_slice(rng, q.src, 2)
+        with paranoid_checks():
+            nat_component(m, x)
+        assert calls
+        calls.clear()
+        nat_component(m, x)
+        assert not calls
 
     def test_cross_squares_are_pullbacks(self, rng):
         for _ in range(6):

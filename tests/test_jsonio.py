@@ -34,6 +34,33 @@ def test_element_reads_back_equal(e):
     assert jsonio.element_from_json(data) == e
 
 
+def _post_order(e, ids, nodes):
+    """Reference node table: children first, left to right, recursively."""
+    if e not in ids:
+        if isinstance(e, Atom):
+            node = ["atom", e.token]
+        elif isinstance(e, Pair):
+            node = ["pair", _post_order(e.left, ids, nodes),
+                    _post_order(e.right, ids, nodes)]
+        else:
+            node = ["sect", [[_post_order(k, ids, nodes),
+                              _post_order(v, ids, nodes)]
+                             for k, v in e.entries]]
+        ids[e] = len(nodes)
+        nodes.append(node)
+    return ids[e]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(elements, min_size=1, max_size=3))
+def test_writer_emits_nodes_in_post_order(es):
+    ids, nodes = {}, []
+    expected = [_post_order(e, ids, nodes) for e in es]
+    w = jsonio._Writer()
+    assert [w.element(e) for e in es] == expected
+    assert w.nodes == nodes
+
+
 def _composite():
     """x^3 + x then y^3 + 1."""
     links = [encode(parse_poly("x^3 + x", in_vars=["x"], out_names=["y"])),

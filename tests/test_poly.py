@@ -15,11 +15,13 @@ from polyfin.finset import (
     constant_fn,
     identity_fn,
     mk_finset,
+    mk_fn,
 )
 from polyfin.poly import (
     CartesianMorphism,
     Leaf,
     Node,
+    SubdividedComposite,
     associated_polynomial,
     associator,
     bracketing_comparison,
@@ -165,6 +167,51 @@ class TestExtensions:
         p, q = gen.rand_composable(rng, 2, 2)
         ext, counit = extend_right(q, unary_sdc(p))
         assert counit.src == restrict_last(ext)
+
+
+class TestMediateIntoTower:
+    def test_empty_sequence_needs_q1_equal_to_q3(self):
+        x = mk_finset(["a", "b"])
+        swap = mk_fn(x, x, [(Atom("a"), Atom("b")), (Atom("b"), Atom("a"))])
+        sdc = SubdividedComposite(over=(), ys=(x,), q1=identity_fn(x), q2s=(),
+                                  q3=swap, rs=(), ss=())
+        with pytest.raises(NotComposable,
+                           match="no morphism into the identity endospan"):
+            mediate_into_tower(terminal_tower([], at=x), sdc)
+
+    def test_three_links_give_the_only_morphism(self, rng):
+        checked = 0
+        for _ in range(30):
+            seq = gen.rand_composable(rng, 3, 2)
+            tower = terminal_tower(seq)
+            sdc = gen.rand_sdc(rng, seq, 2)
+            space = 1
+            for ys, yt in zip(sdc.ys, tower.sdc.ys):
+                space *= max(len(yt), 1) ** len(ys)
+            if space > 100_000:
+                continue
+            others = sdc_morphisms(sdc, tower.sdc)
+            assert len(others) == 1
+            assert mediate_into_tower(tower, sdc).ts == others[0].ts
+            checked += any(len(y) for y in sdc.ys)
+        assert checked >= 5
+
+    def test_reads_the_stages_without_rebuilding_them(self, rng, monkeypatch):
+        from polyfin import poly, slices
+
+        def rebuilt(*args):
+            raise AssertionError("a stage was rebuilt")
+
+        for _ in range(5):
+            p, q, r = gen.rand_composable(rng, 3, 2)
+            tower = terminal_tower([p, q, r])
+            flat = flatten_bracketing(Node(Node(Leaf(p), Leaf(q)), Leaf(r)))
+            with monkeypatch.context() as m:
+                for module in (poly, slices):
+                    m.setattr(module, "dist_pullback", rebuilt)
+                m.setattr(poly, "restrict_last", rebuilt)
+                m.setattr(poly, "pullback", rebuilt)
+                assert mediate_into_tower(tower, flat).is_iso
 
 
 class TestCompose:

@@ -24,6 +24,7 @@ from polyfin.slices import (
     delta_component,
     delta_pi_transpose,
     dist_pullback,
+    dpb_compare,
     dpb_mediate,
     induce_sections,
     left_bc_component,
@@ -281,11 +282,46 @@ class TestOuterSquareNotAPullback:
                            match="outer square is not a pullback"):
             dpb_mediate(d, cand.p, cand.q, cand.r)
 
+    @pytest.mark.parametrize("broken", [_duplicated_point, _dropped_point])
+    def test_check_dpb_terminal_rejects(self, broken):
+        cand = broken(_chosen_dpb())
+        with pytest.raises(NotAPullbackAround,
+                           match="outer square is not a pullback"):
+            check_dpb_terminal(cand)
+
     def test_chosen_dpb_passes(self):
         d = _chosen_dpb()
         assert delta_component(d, terminal_slice(d.around_g.dom)).is_bijective
         s, t = dpb_mediate(d, d.p, d.q, d.r)
         assert s.is_identity and t.is_identity
+
+
+class TestDpbMediate:
+    def test_rejects_a_non_terminal_target(self, rng):
+        hit = 0
+        for _ in range(20):
+            d = gen.rand_dpb(rng, 3)
+            dup = gen.duplicate_dpb(d, rng)
+            if dup is None:
+                continue
+            hit += 1
+            with pytest.raises(NotAPullbackAround, match="target is not a "
+                               "distributivity pullback"):
+                dpb_mediate(dup, d.p, d.q, d.r)
+        assert hit >= 5
+
+    def test_agrees_with_dpb_compare_on_the_chosen_target(self, rng):
+        for _ in range(10):
+            d = gen.rand_dpb(rng, 3)
+            big = gen.duplicate_dpb(d, rng) or d
+            assert dpb_mediate(d, big.p, big.q, big.r) == \
+                dpb_compare(d, big.p, big.q, big.r)
+
+    def test_dpb_compare_checks_the_candidate_shape(self):
+        d = _chosen_dpb()
+        with pytest.raises(NotAPullbackAround,
+                           match="arrows do not match the stated objects"):
+            dpb_compare(d, identity_fn(d.X), d.q, d.r)
 
 
 class TestBeckChevalley:
