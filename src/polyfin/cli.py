@@ -126,8 +126,12 @@ def cmd_check(args) -> int:
     cfg = InstanceGenConfig(seed=args.seed, max_set_size=args.size,
                             cases=args.cases)
     if args.paranoid:
-        with paranoid_checks():
+        with paranoid_checks() as record:
             reports = run_laws(names, cfg)
+        sys.stderr.write(
+            f"paranoid: skipped {record.skipped} of "
+            f"{record.searched + record.skipped} mediator uniqueness "
+            "searches whose candidate space was too large to scan\n")
     else:
         reports = run_laws(names, cfg)
     failures = sum(len(r.failures) for r in reports)

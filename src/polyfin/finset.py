@@ -12,7 +12,10 @@ its children, so hashing any element costs O(1) after construction.
 Functions are position tables: equal sets give each element the same
 position in canonical order, and a function stores for each domain position
 the codomain position of its value, so composition, pullback, mediation and
-the pullback check run on ints.
+the pullback check run on ints.  A table from outside the library goes
+through the validating FinFn constructor; the tables that compose_fn,
+identity_fn and pullback's projections build from already checked operands
+are in range by construction and skip that check.
 
 Chosen pullbacks are normalized: pulling back along an identity (or pulling
 an identity back) returns the other leg's domain on the nose, so identity
@@ -34,21 +37,41 @@ from .errors import (
     NotComposable,
 )
 
-_PARANOID: ContextVar[bool] = ContextVar("polyfin_paranoid", default=False)
+@dataclass
+class ParanoidRecord:
+    """Exhaustive uniqueness searches of one paranoid_checks() block.
+
+    A search whose candidate space is too large to scan counts as skipped.
+    """
+
+    searched: int = 0
+    skipped: int = 0
+
+
+_PARANOID: ContextVar[ParanoidRecord | None] = ContextVar(
+    "polyfin_paranoid", default=None)
 
 
 @contextmanager
-def paranoid_checks() -> Iterator[None]:
-    """Re-verify every induced unique map by exhaustive search while active."""
-    token = _PARANOID.set(True)
+def paranoid_checks() -> Iterator[ParanoidRecord]:
+    """Re-verify every induced unique map by exhaustive search while active.
+
+    Yields the block's record; a nested block shares the enclosing one.
+    """
+    token = _PARANOID.set(_PARANOID.get() or ParanoidRecord())
     try:
-        yield
+        yield _PARANOID.get()
     finally:
         _PARANOID.reset(token)
 
 
-def paranoid_enabled() -> bool:
+def paranoid_record() -> ParanoidRecord | None:
+    """The active block's record, or None outside paranoid_checks()."""
     return _PARANOID.get()
+
+
+def paranoid_enabled() -> bool:
+    return _PARANOID.get() is not None
 
 
 class Element:
@@ -187,10 +210,12 @@ def ordered_finset(elems: list[Element]) -> FinSetObj:
 class FinFn:
     """A total function between two finite sets, stored as a position table.
 
-    idx[i] is the position in cod of the value at dom.elements[i].  The one
+    idx[i] is the position in cod of the value at dom.elements[i].  The
     constructor takes either (argument, value) pairs in any order, which it
-    validates, or idx=, whose length and range it checks.  graph lists the
-    pairs in dom's canonical order.
+    validates, or idx=, whose length and range it checks; it is the path
+    for every table from outside the library.  _trusted_fn is the other
+    path, for tables built in range from checked operands.  graph lists
+    the pairs in dom's canonical order.
     """
 
     __slots__ = ("dom", "cod", "idx", "_hash", "_fibers", "_identity",
@@ -291,6 +316,15 @@ class FinFn:
                      idx=sorted(range(len(self.idx)), key=self.idx.__getitem__))
 
 
+def _trusted_fn(dom: FinSetObj, cod: FinSetObj,
+                idx: tuple[int, ...]) -> FinFn:
+    """FinFn over a table the library built in range; nothing is checked."""
+    fn = object.__new__(FinFn)
+    fn.dom, fn.cod, fn.idx = dom, cod, idx
+    fn._hash = fn._fibers = fn._identity = fn._bijective = None
+    return fn
+
+
 @dataclass(frozen=True)
 class PullbackSquare:
     """A commuting square with apex projections and a cospan of legs.
@@ -338,7 +372,7 @@ def mk_fn(dom: FinSetObj, cod: FinSetObj,
 
 
 def identity_fn(obj: FinSetObj) -> FinFn:
-    return FinFn(obj, obj, idx=range(len(obj)))
+    return _trusted_fn(obj, obj, tuple(range(len(obj))))
 
 
 def constant_fn(dom: FinSetObj, cod: FinSetObj, value: Element) -> FinFn:
@@ -347,9 +381,9 @@ def constant_fn(dom: FinSetObj, cod: FinSetObj, value: Element) -> FinFn:
 
 def compose_fn(g: FinFn, f: FinFn) -> FinFn:
     """Pointwise composite g o f; boundaries must match structurally."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom and f.cod != g.dom:
         raise NotComposable("codomain of f differs from domain of g")
-    return FinFn(f.dom, g.cod, idx=map(g.idx.__getitem__, f.idx))
+    return _trusted_fn(f.dom, g.cod, tuple(map(g.idx.__getitem__, f.idx)))
 
 
 def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
@@ -378,8 +412,8 @@ def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
             left.append(i)
             right.append(k)
     apex = ordered_finset(elems)
-    proj1 = FinFn(apex, f.dom, idx=left)
-    proj2 = FinFn(apex, g.dom, idx=right)
+    proj1 = _trusted_fn(apex, f.dom, tuple(left))
+    proj2 = _trusted_fn(apex, g.dom, tuple(right))
     return PullbackSquare(apex, proj1, proj2, f, g)
 
 
@@ -422,7 +456,7 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
             positions.append(index[target])
         except KeyError:
             raise NotASquare("square lacks the pullback property") from None
-    if _PARANOID.get():
+    if _PARANOID.get() is not None:
         for x in t1.dom:
             hits = [e for e in sq.apex
                     if sq.proj1(e) == t1(x) and sq.proj2(e) == t2(x)]

@@ -36,6 +36,7 @@ from .poly import (
     CartesianMorphism,
     Leaf,
     Node,
+    TerminalTower,
     associator,
     cartesian_homset,
     compose2,
@@ -358,7 +359,8 @@ def _law_counits(rng: random.Random, size: int) -> dict | None:
     if len(others) != 1 or others[0].ts != med.ts:
         return {"issue": f"{len(others)} morphisms into the terminal composite",
                 "sdc": jsonio.sdc_to_json(sdc)}
-    prefix_tower = terminal_tower(list(seq[:-1]), at=seq[0].src)
+    prefix_tower = TerminalTower(tower.seq[:-1], tower.base,
+                                 tower.stages[:-1])
     from .poly import restrict_last
     t_prev = mediate_into_tower(prefix_tower, restrict_last(sdc))
     eps = tower.stages[-1].eps

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from typing import Iterator
 
 from .errors import IllFormedPolynomial, NotCartesian, NotComposable
 from .finset import (
@@ -642,68 +641,113 @@ def hom_pullback(a: CartesianMorphism, b: CartesianMorphism
 def cartesian_homset(p: Polynomial, q: Polynomial) -> list[CartesianMorphism]:
     """All cartesian morphisms p -> q between parallel polynomials.
 
-    For each 1-component the 0-component is found by matching: the pair
-    map (p2, f0) must biject onto the canonical pullback of (f1, q.p2),
-    which prunes the search far below the full function space.
+    Enumerates position tables.  (p2, f0) must biject onto the pullback
+    of (f1, q.p2), so f1 sends each b into q.p3's fiber over p.p3(b), to
+    a point whose q.p2 fiber has the size of p.p2's fiber over b; f0
+    sends each x to an a over p.p1(x) with q.p2(a) = f1(p.p2(x)), hitting
+    each pair (p.p2(x), a) once.  Exhaustive, in lexicographic order of
+    (f1, f0); never mediates.
     """
     if p.src != q.src or p.tgt != q.tgt:
         return []
     out = []
-    f1_choices = [q.p3.fiber(p.p3(b)) for b in p.mid_tgt]
-    for f1_vals in product(*f1_choices):
-        f1 = FinFn(p.mid_tgt, q.mid_tgt,
-                   list(zip(p.mid_tgt.elements, f1_vals)))
-        wanted = {(b, a) for b in p.mid_tgt for a in q.mid_src
-                  if f1(b) == q.p2(a)}
-        if len(wanted) != len(p.mid_src):
-            continue
-        xs = p.mid_src.elements
-        options = [[(p.p2(x), a) for a in q.p1.fiber(p.p1(x))] for x in xs]
-        for picks in _distinct_picks(options, 0, set(wanted), []):
-            f0 = FinFn(p.mid_src, q.mid_src,
-                       [(x, a) for x, (_, a) in zip(xs, picks)])
-            out.append(CartesianMorphism(p, q, f0, f1))
+    q1_fibers = q.p1.fiber_positions()
+    q2_fibers = q.p2.fiber_positions()
+    q3_fibers = q.p3.fiber_positions()
+    q2, width = q.p2.idx, len(q.mid_src)
+    xs = list(zip(p.p1.idx, p.p2.idx))
+    f1_choices = [[j for j in q3_fibers[k] if len(q2_fibers[j]) == len(fib)]
+                  for k, fib in zip(p.p3.idx, p.p2.fiber_positions())]
+    for f1_pos in product(*f1_choices):
+        options = [[(b * width + a, a) for a in q1_fibers[i]
+                    if q2[a] == f1_pos[b]] for i, b in xs]
+        f0s: list[tuple[int, ...]] = []
+        _distinct_picks(options, 0, set(), [], f0s)
+        if f0s:
+            f1 = FinFn(p.mid_tgt, q.mid_tgt, idx=f1_pos)
+            for f0 in f0s:
+                out.append(CartesianMorphism(
+                    p, q, FinFn(p.mid_src, q.mid_src, idx=f0), f1))
     return out
 
 
-def _distinct_picks(options: list[list], i: int, allowed: set,
-                    picks: list) -> Iterator[list]:
-    """Extensions of picks by one entry of each options[j], j >= i.
+def _distinct_picks(options: list[list[tuple[int, int]]], i: int,
+                    used: set[int], picks: list[int],
+                    out: list[tuple[int, ...]]) -> None:
+    """Append to out each extension of picks by a value of every options[j],
+    j >= i, in lexicographic order.
 
-    The entries are drawn from allowed without repetition, and the
-    extensions come in lexicographic order.  This is a module-level
-    recursion, so a call leaves no reference cycle behind.
+    An option is a (key, value) pair, and no key is picked twice.  This is
+    a module-level recursion, so a call leaves no reference cycle behind.
     """
     if i == len(options):
-        yield picks
+        out.append(tuple(picks))
         return
-    for c in options[i]:
-        if c in allowed:
-            allowed.remove(c)
-            picks.append(c)
-            yield from _distinct_picks(options, i + 1, allowed, picks)
+    for key, value in options[i]:
+        if key not in used:
+            used.add(key)
+            picks.append(value)
+            _distinct_picks(options, i + 1, used, picks, out)
             picks.pop()
-            allowed.add(c)
+            used.remove(key)
 
 
 def sdc_morphisms(src: SubdividedComposite,
                   tgt: SubdividedComposite) -> list[SdCMorphism]:
-    """Brute-force enumeration of morphisms between subdivided composites."""
+    """All morphisms between subdivided composites over one sequence.
+
+    Enumerates the components' position tables stage by stage.  At each
+    point ts[i] takes only the values its two triangles admit (q1 or
+    ss[i-1], and q3 or rs[i]), and where src.q2s[i-1] hits a point, the
+    q2 square against ts[i-1] fixes the value.  Every survivor is still
+    checked by SdCMorphism.  Exhaustive, in lexicographic order of the
+    full function spaces; never mediates.
+    """
     if src.over != tgt.over:
         return []
-    out = []
-    spaces = []
-    for ys, yt in zip(src.ys, tgt.ys):
-        fns = []
-        for values in product(yt.elements, repeat=len(ys)):
-            fns.append(FinFn(ys, yt, list(zip(ys.elements, values))))
-        spaces.append(fns)
-    for ts in product(*spaces):
+    n = len(src.over)
+    admitted = []
+    for i in range(n + 1):
+        (t0, s0), (t1, s1) = legs = (
+            (tgt.q1, src.q1) if i == 0 else (tgt.ss[i - 1], src.ss[i - 1]),
+            (tgt.q3, src.q3) if i == n else (tgt.rs[i], src.rs[i]))
+        if any(t.cod != s.cod for t, s in legs):
+            return []
+        admitted.append([[v for v in t0.fiber_positions()[j]
+                          if t1.idx[v] == s1.idx[u]]
+                         for u, j in enumerate(s0.idx)])
+    out: list[SdCMorphism] = []
+    _sdc_stages(src, tgt, admitted, [], out)
+    return out
+
+
+def _sdc_stages(src: SubdividedComposite, tgt: SubdividedComposite,
+                admitted: list[list[list[int]]], ts: list[FinFn],
+                out: list[SdCMorphism]) -> None:
+    """Extend ts by every admitted component at stage len(ts), in order.
+
+    A module-level recursion, so a call leaves no reference cycle behind.
+    """
+    i = len(ts)
+    if i == len(admitted):
         try:
             out.append(SdCMorphism(src, tgt, tuple(ts)))
         except NotComposable:
-            continue
-    return out
+            pass
+        return
+    choices = admitted[i]
+    if i > 0:
+        choices = list(choices)
+        t2, prev = tgt.q2s[i - 1].idx, ts[-1].idx
+        for u, w in enumerate(src.q2s[i - 1].idx):
+            v = t2[prev[u]]
+            if v not in choices[w]:
+                return
+            choices[w] = (v,)
+    for values in product(*choices):
+        ts.append(FinFn(src.ys[i], tgt.ys[i], idx=values))
+        _sdc_stages(src, tgt, admitted, ts, out)
+        ts.pop()
 
 
 def span_compose2(q: Polynomial, p: Polynomial) -> Polynomial:

@@ -37,6 +37,7 @@ from .finset import (
     mediate,
     ordered_finset,
     paranoid_enabled,
+    paranoid_record,
 )
 
 
@@ -317,10 +318,13 @@ def dpb_mediate(d: DistPB, p_cand: FinFn, q_cand: FinFn,
 
 def _assert_unique_dpb_mediator(d: DistPB, cand: DistPB,
                                 s: FinFn, t: FinFn) -> None:
+    record = paranoid_record()
     space = (max(len(d.X), 1) ** len(cand.X)
              * max(len(d.Y), 1) ** len(cand.Y))
     if space > 100_000:
+        record.skipped += 1
         return
+    record.searched += 1
     hits = 0
     for s2 in _all_fns(cand.X, d.X):
         if compose_fn(d.p, s2) != cand.p:

@@ -394,6 +394,41 @@ class TestComposeFn:
             compose_fn(f, f)
 
 
+@st.composite
+def endos(draw):
+    """An endofunction of at most five atoms, half of the time a permutation,
+    so that its composites include identities and other bijections."""
+    x = mk_finset([f"e{i}" for i in range(draw(st.integers(0, 5)))])
+    n = len(x)
+    if draw(st.booleans()):
+        return FinFn(x, x, idx=draw(st.permutations(range(n))))
+    return FinFn(x, x, idx=draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                         min_size=n, max_size=n)))
+
+
+class TestTrustedTables:
+    """compose_fn, identity_fn and pullback's projections skip the range
+    check; each result must equal its table rebuilt by the validating
+    constructor."""
+
+    @given(cospans(), endos())
+    @settings(max_examples=150, deadline=None)
+    def test_results_equal_validated_rebuilds(self, cospan, e):
+        f, g = cospan
+        sq = pullback(f, g)
+        built = [sq.proj1, sq.proj2, compose_fn(f, sq.proj1),
+                 identity_fn(f.dom), identity_fn(sq.apex),
+                 compose_fn(e, e), compose_fn(e, identity_fn(e.dom))]
+        if e.is_bijective:
+            built.append(compose_fn(e.inverse(), e))
+        for fn in built:
+            ref = FinFn(fn.dom, fn.cod, idx=fn.idx)
+            assert fn == ref and ref == fn and hash(fn) == hash(ref)
+            assert fn.is_identity is ref.is_identity
+            assert fn.is_bijective is ref.is_bijective
+        assert built[-1].is_identity is e.is_bijective
+
+
 class TestPullback:
     def test_product_over_point(self):
         two = mk_finset(["a", "b"])

@@ -1,6 +1,8 @@
 """Polynomial diagrams: construction, composition, comparisons, homs."""
 
 import gc
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -21,7 +23,9 @@ from polyfin.poly import (
     CartesianMorphism,
     Leaf,
     Node,
+    SdCMorphism,
     SubdividedComposite,
+    TerminalTower,
     associated_polynomial,
     associator,
     bracketing_comparison,
@@ -118,6 +122,19 @@ class TestTerminalSdc:
         if p.tgt != q.src:
             with pytest.raises(NotComposable):
                 terminal_sdc([p, q])
+
+    def test_prefix_of_a_tower_is_the_tower_of_the_prefix(self, rng):
+        for _ in range(30):
+            seq = gen.rand_composable(rng, rng.randint(1, 3), 2)
+            tower = terminal_tower(seq)
+            prefix = TerminalTower(tower.seq[:-1], tower.base,
+                                   tower.stages[:-1])
+            fresh = terminal_tower(seq[:-1], at=seq[0].src)
+            assert prefix.seq == fresh.seq and prefix.base == fresh.base
+            assert prefix.sdc == fresh.sdc
+            assert len(prefix.stages) == len(fresh.stages)
+            for kept, rebuilt in zip(prefix.stages, fresh.stages):
+                assert kept == rebuilt
 
 
 class TestExtensions:
@@ -439,15 +456,128 @@ class TestCartesianHomset:
 
     def test_leaves_no_reference_cycle(self, rng):
         polys = [gen.rand_poly(rng, 3) for _ in range(20)]
+        sdcs = [gen.rand_sdc(rng, gen.rand_composable(rng, 2, 2), 2)
+                for _ in range(10)]
         gc.collect()
         gc.disable()
         try:
             found = sum(len(cartesian_homset(p, p)) for p in polys)
+            found += sum(len(sdc_morphisms(s, s)) for s in sdcs)
             freed = gc.collect()
         finally:
             gc.enable()
-        assert found >= len(polys)
+        assert found >= len(polys) + len(sdcs)
         assert freed == 0
+
+
+def all_fns(dom, cod):
+    """Every function dom -> cod, in lexicographic order of its values."""
+    return [FinFn(dom, cod, idx=values)
+            for values in product(range(len(cod)), repeat=len(dom))]
+
+
+def empty_middle(p):
+    """The polynomial with p's boundaries and empty middle sets."""
+    none = mk_finset([])
+    return mk_poly(FinFn(none, p.src, []), FinFn(none, none, []),
+                   FinFn(none, p.tgt, []))
+
+
+class TestOracleReferences:
+    """cartesian_homset and sdc_morphisms prune their enumeration; they must
+    return what filtering the whole function space returns, in the same
+    order, and must never reach a mediation."""
+
+    def test_cartesian_homset_matches_filtered_function_pairs(self, rng):
+        found = 0
+        for _ in range(40):
+            q = gen.rand_poly(rng, 2)
+            p = gen.rand_cartesian_into(rng, q, 2).src_poly
+            other = gen.rand_poly(rng, 2, src=q.src, tgt=q.tgt)
+            empty = empty_middle(q)
+            for a, b in ((p, q), (q, q), (other, q), (q, other),
+                         (empty, q), (q, empty), (empty, empty)):
+                want = [(f0, f1) for f1 in all_fns(a.mid_tgt, b.mid_tgt)
+                        for f0 in all_fns(a.mid_src, b.mid_src)
+                        if is_cartesian(CartesianMorphism(a, b, f0, f1))]
+                got = cartesian_homset(a, b)
+                assert [(m.f0, m.f1) for m in got] == want
+                assert all(m.src_poly is a and m.tgt_poly is b for m in got)
+                found += len(got) > 1
+        assert found >= 40
+
+    def test_sdc_morphisms_matches_filtered_product(self, rng):
+        def reference(src, tgt):
+            out = []
+            spaces = [all_fns(ys, yt) for ys, yt in zip(src.ys, tgt.ys)]
+            for ts in product(*spaces):
+                try:
+                    out.append(SdCMorphism(src, tgt, ts).ts)
+                except NotComposable:
+                    pass
+            return out
+
+        x, y = mk_finset(["a", "b"]), mk_finset(["c"])
+        pairs = [(identity_endospan(x), identity_endospan(x)),
+                 (identity_endospan(x), identity_endospan(y))]
+        for _ in range(30):
+            seq = gen.rand_composable(rng, rng.randint(1, 2), 2)
+            src = gen.rand_sdc(rng, seq, 2)
+            pairs += [(src, tgt) for tgt in
+                      (terminal_sdc(seq), src, gen.rand_sdc(rng, seq, 2))]
+        checked = found = 0
+        for src, tgt in pairs:
+            if prod(len(yt) ** len(ys)
+                    for ys, yt in zip(src.ys, tgt.ys)) > 5000:
+                continue
+            got = [m.ts for m in sdc_morphisms(src, tgt)]
+            assert got == reference(src, tgt)
+            checked += 1
+            found += len(got) > 1
+        assert checked >= 60 and found >= 5
+
+    def test_sdc_pruning_builds_only_morphisms(self, rng, monkeypatch):
+        from polyfin import poly
+        built = []
+
+        class Counted(SdCMorphism):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(poly, "SdCMorphism", Counted)
+        found = 0
+        for _ in range(20):
+            seq = gen.rand_composable(rng, rng.randint(1, 3), 2)
+            src = gen.rand_sdc(rng, seq, 2)
+            for tgt in (terminal_sdc(seq), src):
+                built.clear()
+                got = sdc_morphisms(src, tgt)
+                assert built == got
+                found += len(got)
+        assert found >= 40
+
+    def test_oracles_never_mediate(self, rng, monkeypatch):
+        from polyfin import finset, poly, slices
+        cases = []
+        for _ in range(10):
+            q = gen.rand_poly(rng, 2)
+            p = gen.rand_cartesian_into(rng, q, 2).src_poly
+            seq = gen.rand_composable(rng, 2, 2)
+            cases.append((p, q, gen.rand_sdc(rng, seq, 2), terminal_sdc(seq)))
+
+        def forbidden(*args):
+            raise AssertionError("a brute-force oracle mediated")
+
+        for module, name in ((finset, "mediate"), (poly, "mediate"),
+                             (slices, "mediate"), (poly, "dpb_compare"),
+                             (slices, "dpb_compare"),
+                             (poly, "mediate_into_tower")):
+            monkeypatch.setattr(module, name, forbidden)
+        for p, q, sdc, terminal in cases:
+            assert cartesian_homset(p, q)
+            assert len(sdc_morphisms(sdc, terminal)) == 1
+            assert sdc_morphisms(sdc, sdc)
 
 
 class TestLftRgtAdjunction:

@@ -14,6 +14,8 @@ from polyfin.finset import (
     identity_fn,
     mk_finset,
     mk_fn,
+    paranoid_checks,
+    paranoid_record,
 )
 from polyfin.slices import (
     CommutingSquare,
@@ -322,6 +324,38 @@ class TestDpbMediate:
         with pytest.raises(NotAPullbackAround,
                            match="arrows do not match the stated objects"):
             dpb_compare(d, identity_fn(d.X), d.q, d.r)
+
+
+class TestParanoidRecord:
+    """Under paranoid_checks, dpb_compare searches its mediator space for
+    uniqueness, or counts the search as skipped when the space is too big."""
+
+    @staticmethod
+    def _dpb(points, per_point):
+        # f : A -> {b} with g's fiber over each of A's points of size
+        # per_point, so Y holds per_point^points sections.
+        a, b = mk_finset([f"a{i}" for i in range(points)]), mk_finset(["b"])
+        z = mk_finset([f"z{i}{j}" for i in range(points)
+                       for j in range(per_point)])
+        g = FinFn(z, a, [(e, Atom(f"a{e.token[1]}")) for e in z])
+        return dist_pullback(constant_fn(a, b, Atom("b")), g)
+
+    @pytest.mark.parametrize("points, per_point, searched, skipped",
+                             [(1, 3, 1, 0), (2, 2, 0, 1)])
+    def test_counts_searched_and_skipped(self, points, per_point, searched,
+                                         skipped):
+        d = self._dpb(points, per_point)
+        space = len(d.X) ** len(d.X) * len(d.Y) ** len(d.Y)
+        assert (space > 100_000) is bool(skipped)
+        with paranoid_checks() as record:
+            with paranoid_checks() as inner:
+                s, t = dpb_compare(d, d.p, d.q, d.r)
+        assert inner is record
+        assert (record.searched, record.skipped) == (searched, skipped)
+        assert s.is_identity and t.is_identity
+        assert paranoid_record() is None
+        dpb_compare(d, d.p, d.q, d.r)
+        assert (record.searched, record.skipped) == (searched, skipped)
 
 
 class TestBeckChevalley:
