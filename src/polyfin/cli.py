@@ -109,7 +109,8 @@ def cmd_eval(args) -> int:
             raise NotNameable("target elements must be atoms")
     x = fiber_slice(p, assignment)
     out, trace = eval_obj(p, x)
-    counts = {e.token: len(out.arrow.fiber(e)) for e in p.tgt}
+    fibers = out.arrow.fiber_positions()
+    counts = {e.token: len(fib) for e, fib in zip(out.arrow.cod, fibers)}
     payload: dict = {"counts": counts}
     if args.trace:
         payload["trace"] = jsonio.eval_trace_to_json(trace)

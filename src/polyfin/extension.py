@@ -73,15 +73,6 @@ class NatComponentTrace:
     tgt_trace: EvalTrace
     m: CartesianMorphism
 
-    def cross_squares(self) -> tuple[PullbackSquare, PullbackSquare, PullbackSquare]:
-        """The three comparison squares between the two evaluation stages."""
-        src, tgt = self.src_trace, self.tgt_trace
-        s2 = PullbackSquare(src.C2, src.delta_arrow, self.f2,
-                            self.m.f0, tgt.delta_arrow)
-        s3 = PullbackSquare(src.C3, src.dpb_p, self.f3, self.f2, tgt.dpb_p)
-        s4 = PullbackSquare(src.C4, src.dpb_r, self.f4, self.m.f1, tgt.dpb_r)
-        return s2, s3, s4
-
 
 def eval_obj(p: Polynomial, x: SliceObj) -> tuple[SliceObj, EvalTrace]:
     """Value of the polynomial on a slice over its source, with trace."""

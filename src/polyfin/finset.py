@@ -20,6 +20,12 @@ are in range by construction and skip that check.
 Chosen pullbacks are normalized: pulling back along an identity (or pulling
 an identity back) returns the other leg's domain on the nose, so identity
 laws downstream hold strictly rather than up to isomorphism.
+
+A set may also be lazy (lazy_finset): its size is known up front and its
+elements are built on first read.  pullback's apex is lazy, so a caller
+that only reads position tables never builds a Pair.  Every carrier that
+does get built goes through ordered_finset, so the positions the tables
+were computed against are checked to be the canonical ones.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import attrgetter, is_, lt
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DuplicateElement,
@@ -127,18 +133,23 @@ class Sect(Element):
     """Finite map used as the carrier of a dependent-product section.
 
     Entries are sorted by the global order and have distinct first
-    components; construction canonicalizes any entry order.
+    components.  Entries already strictly ascending are kept after one
+    pass over the keys; any other order is sorted and checked.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[Element, Element]]):
-        items = sorted(entries, key=lambda kv: kv[0]._key)
-        for (a, _), (b, _) in zip(items, items[1:]):
-            if a == b:
-                raise DuplicateElement(f"section table repeats key {a!r}")
-        self.entries = tuple(items)
-        self._key = (2, tuple((k._key, v._key) for k, v in items))
+        items = tuple(entries)
+        keys = [k._key for k, _ in items]
+        if not all(map(lt, keys, keys[1:])):
+            items = tuple(sorted(items, key=lambda kv: kv[0]._key))
+            for (a, _), (b, _) in zip(items, items[1:]):
+                if a == b:
+                    raise DuplicateElement(f"section table repeats key {a!r}")
+            keys = [k._key for k, _ in items]
+        self.entries = items
+        self._key = (2, tuple(zip(keys, [v._key for _, v in items])))
         self._hash = hash((2, tuple((k._hash, v._hash) for k, v in items)))
 
     def __getitem__(self, point: Element) -> Element:
@@ -205,6 +216,43 @@ def ordered_finset(elems: list[Element]) -> FinSetObj:
     if not all(map(is_, obj.elements, elems)):
         raise AssertionError("construction did not emit canonical order")
     return obj
+
+
+class _LazyFinSet(FinSetObj):
+    """A FinSetObj of known size whose elements are built on first read.
+
+    __getattr__ runs only while the elements and _index slots are unset;
+    it fills both from ordered_finset(build()) and then drops build.
+    """
+
+    __slots__ = ("_size", "_build")
+
+    def __init__(self, size: int, build: Callable[[], list[Element]]):
+        self._size, self._build, self._hash = size, build, None
+
+    def __getattr__(self, name: str):
+        if name not in ("elements", "_index"):
+            raise AttributeError(name)
+        built = ordered_finset(self._build())
+        if len(built.elements) != self._size:
+            raise AssertionError("construction emitted the wrong number "
+                                 "of elements")
+        self.elements, self._index = built.elements, built._index
+        self._build = None
+        return built.elements if name == "elements" else built._index
+
+    def __len__(self) -> int:
+        return self._size
+
+
+def lazy_finset(size: int, build: Callable[[], list[Element]]) -> FinSetObj:
+    """The set of size elements that build() emits in canonical order.
+
+    Nothing is built until elements, membership, iteration, equality or
+    hashing is asked for; len() reads the promised size.  An empty set has
+    nothing to build and is returned as it is.
+    """
+    return _LazyFinSet(size, build) if size else FinSetObj(())
 
 
 class FinFn:
@@ -375,10 +423,6 @@ def identity_fn(obj: FinSetObj) -> FinFn:
     return _trusted_fn(obj, obj, tuple(range(len(obj))))
 
 
-def constant_fn(dom: FinSetObj, cod: FinSetObj, value: Element) -> FinFn:
-    return FinFn(dom, cod, [(e, value) for e in dom])
-
-
 def compose_fn(g: FinFn, f: FinFn) -> FinFn:
     """Pointwise composite g o f; boundaries must match structurally."""
     if f.cod is not g.dom and f.cod != g.dom:
@@ -389,7 +433,8 @@ def compose_fn(g: FinFn, f: FinFn) -> FinFn:
 def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
     """Chosen pullback of the cospan (f, g).
 
-    The canonical apex is the set of pairs Pair(a, b) with f(a) = g(b),
+    The canonical apex is the lazy set of pairs Pair(a, b) with
+    f(a) = g(b), built from the projections' tables when first read,
     except that pulling back along an identity reuses the other domain:
     pullback(id, g) has apex g.dom with projections (g, id), and
     pullback(f, id) has apex f.dom with projections (id, f).
@@ -402,18 +447,21 @@ def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
     if g.is_identity:
         apex = f.dom
         return PullbackSquare(apex, identity_fn(apex), f, f, g)
-    fd, gd = f.dom.elements, g.dom.elements
     fibers = g.fiber_positions()
-    elems, left, right = [], [], []
+    left, right = [], []
     for i, j in enumerate(f.idx):
-        a = fd[i]
-        for k in fibers[j]:
-            elems.append(Pair(a, gd[k]))
-            left.append(i)
-            right.append(k)
-    apex = ordered_finset(elems)
-    proj1 = _trusted_fn(apex, f.dom, tuple(left))
-    proj2 = _trusted_fn(apex, g.dom, tuple(right))
+        fib = fibers[j]
+        left.extend([i] * len(fib))
+        right.extend(fib)
+    left, right = tuple(left), tuple(right)
+
+    def build() -> list[Element]:
+        fd, gd = f.dom.elements, g.dom.elements
+        return [Pair(fd[i], gd[k]) for i, k in zip(left, right)]
+
+    apex = lazy_finset(len(left), build)
+    proj1 = _trusted_fn(apex, f.dom, left)
+    proj2 = _trusted_fn(apex, g.dom, right)
     return PullbackSquare(apex, proj1, proj2, f, g)
 
 

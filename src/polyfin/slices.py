@@ -6,16 +6,22 @@ terminality test, the comparison map whose invertibility characterizes
 terminality, Beck-Chevalley components for commuting squares, and the
 natural section triples of a distributivity pullback.
 
-Dependent products are materialized: the carrier over a base point is the
-set of section tables of the fiber.  The chosen degenerate shapes make the
-identity laws strict: pulling back along an identity, or taking the
-dependent product of an identity, returns its argument on the nose.
+A dependent product's carrier over a base point is the set of section
+tables of the fiber, numbered in the mixed radix of the fiber sizes.  Its
+arrow is computed from fiber sizes alone and its carrier is lazy, built
+only when its elements are read; so are the apexes of chosen pullbacks.
+A distributivity pullback's p is read off by digit extraction, so
+evaluation that only counts builds no section table.  The chosen
+degenerate shapes make the identity laws strict: pulling back along an
+identity, or taking the dependent product of an identity, returns its
+argument on the nose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable
 
 from .errors import (
@@ -34,8 +40,8 @@ from .finset import (
     check_pullback,
     compose_fn,
     identity_fn,
+    lazy_finset,
     mediate,
-    ordered_finset,
     paranoid_enabled,
     paranoid_record,
 )
@@ -120,8 +126,10 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
     """Dependent product of a slice over f.dom along f.
 
     The carrier over b consists of the section tables of x's fibers across
-    f's fiber of b, encoded Pair(b, Sect(...)).  Degenerate shapes are
-    strict: pi(id, x) = x and pi(f, 1) = 1.
+    f's fiber of b, encoded Pair(b, Sect(...)), in itertools.product order
+    of the choices, which is canonical.  The arrow comes from products of
+    fiber sizes; the carrier is lazy.  Degenerate shapes are strict:
+    pi(id, x) = x and pi(f, 1) = 1.
     """
     if x.base != f.dom:
         raise NotComposable("slice base must be the domain of f")
@@ -129,13 +137,20 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
         return x
     if x.arrow.is_identity:
         return terminal_slice(f.cod)
-    elems, over = [], []
-    for j, b in enumerate(f.cod):
-        fib = f.fiber(b)
-        for combo in product(*[x.arrow.fiber(a) for a in fib]):
-            elems.append(Pair(b, Sect(zip(fib, combo))))
-        over.extend([j] * (len(elems) - len(over)))
-    carrier = ordered_finset(elems)
+    xfibers = x.arrow.fiber_positions()
+    over = []
+    for j, fib in enumerate(f.fiber_positions()):
+        over.extend([j] * prod(map(len, map(xfibers.__getitem__, fib))))
+
+    def build() -> list[Element]:
+        elems = []
+        for b in f.cod:
+            fib = f.fiber(b)
+            for combo in product(*[x.arrow.fiber(a) for a in fib]):
+                elems.append(Pair(b, Sect(zip(fib, combo))))
+        return elems
+
+    carrier = lazy_finset(len(over), build)
     return SliceObj(FinFn(carrier, f.cod, idx=over))
 
 
@@ -227,7 +242,8 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     Y carries pi(f, g) with r its arrow, X is the chosen pullback of r
     along f, and p evaluates the section at the fiber point.  Degenerate
     chains are the chosen strict shapes: for f an identity the result is
-    (1, 1, g); for g an identity it is (1, f, 1).
+    (1, 1, g); for g an identity it is (1, f, 1).  Otherwise p is computed
+    on positions alone (_section_digits), so neither X nor Y is built.
     """
     from .finset import pullback
     if g.cod != f.dom:
@@ -236,11 +252,38 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     yslice = pi(f, gslice)
     sq = pullback(f, yslice.arrow)
     X, q = sq.apex, sq.proj2
-    fdom, ys, gpos = f.dom.elements, yslice.carrier.elements, g.dom._index
-    p = FinFn(X, g.dom, idx=[
-        gpos[pi_section_value(f, gslice, ys[iy], fdom[ia])]
-        for ia, iy in zip(sq.proj1.idx, q.idx)])
+    if f.is_identity or g.is_identity:
+        fdom, ys, gpos = f.dom.elements, yslice.carrier.elements, g.dom._index
+        p_idx = [gpos[pi_section_value(f, gslice, ys[iy], fdom[ia])]
+                 for ia, iy in zip(sq.proj1.idx, q.idx)]
+    else:
+        p_idx = _section_digits(f, g, yslice.arrow, sq.proj1.idx, q.idx)
+    p = FinFn(X, g.dom, idx=p_idx)
     return DistPB(f, g, X, yslice.carrier, p, q, yslice.arrow)
+
+
+def _section_digits(f: FinFn, g: FinFn, r: FinFn, at: tuple[int, ...],
+                    ys: tuple[int, ...]) -> list[int]:
+    """Positions in g.dom of the values of pi(f, g) sections at points.
+
+    For each pair (a, y) of a position in f.dom and one in r.dom, the
+    position of section y's value at a.  Section y over b = f(a) is number
+    y - offset_b among those over b, written in the mixed radix of the
+    sizes of g's fibers over f's fiber of b, first point most significant;
+    if a sits at slot t of that fiber, digit t picks the value within g's
+    fiber of a.
+    """
+    gfibers = g.fiber_positions()
+    offset = [fib[0] if fib else 0 for fib in r.fiber_positions()]
+    stride = [0] * len(f.idx)
+    for fib in f.fiber_positions():
+        weight = 1
+        for a in reversed(fib):
+            stride[a] = weight
+            weight *= len(gfibers[a])
+    fidx = f.idx
+    return [gfibers[a][(y - offset[fidx[a]]) // stride[a] % len(gfibers[a])]
+            for a, y in zip(at, ys)]
 
 
 class _OuterIndex(dict):

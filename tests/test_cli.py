@@ -9,7 +9,10 @@ import pytest
 from polyfin import jsonio
 from polyfin.cli import main
 from polyfin.errors import ParseError
+from polyfin.extension import eval_obj
 from polyfin.poly import compose_seq
+
+from support import recorded_builds
 
 EXPR = "x^3y + 2 ; 3x^2z + y"
 
@@ -376,6 +379,34 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(f1), "--assign", "y=1")
         assert code == 4
         assert "evaluation error" in err
+
+    def test_counting_builds_no_stage_carrier(self, capsys, tmp_path,
+                                              monkeypatch):
+        import polyfin.cli
+        traces = []
+
+        def keep_trace(p, x):
+            out, trace = eval_obj(p, x)
+            traces.append(trace)
+            return out, trace
+
+        monkeypatch.setattr(polyfin.cli, "eval_obj", keep_trace)
+        f1 = tmp_path / "p.json"
+        run(capsys, "encode", EXPR, "--in", "w,x,y,z", "-o", str(f1))
+        with recorded_builds() as built:
+            code, out, _ = run(capsys, "eval", str(f1), "--assign",
+                               "w=2,x=2,y=3,z=2")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"out1": 26, "out2": 27}
+        assert built == []
+        with recorded_builds() as built:
+            code, traced, _ = run(capsys, "eval", str(f1), "--assign",
+                                  "w=2,x=2,y=3,z=2", "--trace")
+        assert code == 0
+        assert json.loads(traced)["counts"] == {"out1": 26, "out2": 27}
+        stages = traces[-1]
+        assert any(t is stages.C3.elements for t in built)
+        assert any(t is stages.C4.elements for t in built)
 
     def test_trace_included(self, capsys, tmp_path):
         f1 = tmp_path / "p.json"

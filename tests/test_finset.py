@@ -4,7 +4,7 @@ import contextvars
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyfin.finset
@@ -24,8 +24,8 @@ from polyfin.finset import (
     Sect,
     check_pullback,
     compose_fn,
-    constant_fn,
     identity_fn,
+    lazy_finset,
     mediate,
     mk_finset,
     mk_fn,
@@ -34,6 +34,8 @@ from polyfin.finset import (
     paranoid_enabled,
     pullback,
 )
+
+from support import constant_fn, recorded_builds
 
 elements = st.recursive(
     st.sampled_from("abcxyz").map(Atom),
@@ -498,6 +500,76 @@ class TestPullback:
         left = pullback(one, g)
         assert left.apex is g.dom
         assert left.proj1 == g and left.proj2.is_identity
+
+
+class TestLazyFinSet:
+    def test_len_reads_the_size_and_builds_nothing(self):
+        calls = []
+        s = lazy_finset(2, lambda: calls.append(1) or [Atom("a"), Atom("b")])
+        assert len(s) == 2 and not calls
+        assert s.elements == (Atom("a"), Atom("b")) and calls == [1]
+        assert Atom("b") in s and list(s) == [Atom("a"), Atom("b")]
+        assert calls == [1]
+
+    def test_out_of_order_builder_fails_on_first_read(self):
+        s = lazy_finset(2, lambda: [Atom("b"), Atom("a")])
+        assert len(s) == 2
+        with pytest.raises(AssertionError, match="canonical order"):
+            s.elements
+        with pytest.raises(AssertionError, match="canonical order"):
+            Atom("a") in lazy_finset(2, lambda: [Atom("b"), Atom("a")])
+
+    def test_wrong_size_fails_on_first_read(self):
+        s = lazy_finset(3, lambda: [Atom("a"), Atom("b")])
+        with pytest.raises(AssertionError, match="number of elements"):
+            s == mk_finset(["a", "b"])
+
+    def test_duplicate_from_builder_is_rejected(self):
+        s = lazy_finset(2, lambda: [Atom("a"), Atom("a")])
+        with pytest.raises(DuplicateElement):
+            s.elements
+
+    def test_empty_needs_no_builder(self):
+        def never():
+            raise AssertionError("builder ran")
+        assert lazy_finset(0, never) == FinSetObj([])
+
+    @given(cospans())
+    @settings(max_examples=150, deadline=None)
+    def test_pullback_apex_equals_its_eager_rebuild(self, cospan):
+        f, g = cospan
+        eager = FinSetObj([Pair(a, b) for a in f.dom for b in g.dom
+                           if f(a) == g(b)])
+        with recorded_builds() as built:
+            sq = pullback(f, g)
+            assert len(sq.apex) == len(eager)
+            assert sq.proj1.idx == tuple(f.dom._index[e.left] for e in eager)
+            assert sq.proj2.idx == tuple(g.dom._index[e.right] for e in eager)
+        assert built == []
+        assert pullback(f, g).apex == eager
+        assert eager == pullback(f, g).apex
+        assert hash(pullback(f, g).apex) == hash(eager)
+        assert pullback(f, g).apex.elements == eager.elements
+
+    @given(cospans())
+    @settings(max_examples=60, deadline=None)
+    def test_pullback_does_not_build_a_lazy_leg_domain(self, cospan):
+        f, g = cospan
+        inner = pullback(f, g)
+        leg = compose_fn(f, inner.proj1)
+        # A leg whose table is the identity table is compared with its
+        # codomain to decide whether it is an identity, which reads it.
+        assume(leg.idx != tuple(range(len(leg.cod))))
+        with recorded_builds() as built:
+            along_id = pullback(identity_fn(f.dom), inner.proj1)
+            assert along_id.apex is inner.apex
+            outer = pullback(leg, g)
+            assert len(outer.apex) == sum(
+                len(g.fiber_positions()[j]) for j in leg.idx)
+        assert built == []
+        assert outer.apex == FinSetObj(
+            [Pair(e, b) for e in inner.apex for b in g.dom
+             if f(e.left) == g(b)])
 
 
 class TestCheckPullback:

@@ -14,7 +14,6 @@ from polyfin.finset import (
     PullbackSquare,
     check_pullback,
     compose_fn,
-    constant_fn,
     identity_fn,
     mk_finset,
     mk_fn,
@@ -57,6 +56,8 @@ from polyfin.poly import (
 )
 from polyfin.slices import sigma
 from polyfin.symbolic import decode, encode, parse_poly
+
+from support import constant_fn
 
 
 class TestMkPoly:

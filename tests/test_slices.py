@@ -1,6 +1,10 @@
 """Slice operations, distributivity pullbacks, and their comparison maps."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyfin import gen
 from polyfin.errors import NotAPullbackAround, NotASection, NotComposable
@@ -9,13 +13,14 @@ from polyfin.finset import (
     FinFn,
     FinSetObj,
     Pair,
+    Sect,
     compose_fn,
-    constant_fn,
     identity_fn,
     mk_finset,
     mk_fn,
     paranoid_checks,
     paranoid_record,
+    pullback,
 )
 from polyfin.slices import (
     CommutingSquare,
@@ -31,6 +36,7 @@ from polyfin.slices import (
     induce_sections,
     left_bc_component,
     pi,
+    pi_section_value,
     right_bc_component,
     sigma,
     sigma_delta_transpose,
@@ -39,10 +45,43 @@ from polyfin.slices import (
     terminal_slice,
 )
 
+from support import constant_fn, recorded_builds
+
 
 def const_slice(tag, n, base, point):
     carrier = mk_finset([f"{tag}{i}" for i in range(n)])
     return SliceObj(constant_fn(carrier, base, point))
+
+
+@st.composite
+def chains(draw):
+    """Composable g : Z -> A and f : A -> B of atoms, f or g sometimes an
+    identity.  Fibers of both may be empty, and so may A, B and Z."""
+    def fn(dom, cod):
+        if not len(cod):
+            return FinFn(dom, cod, idx=[])
+        return FinFn(dom, cod, idx=draw(st.lists(
+            st.integers(0, len(cod) - 1), min_size=len(dom),
+            max_size=len(dom))))
+
+    shape = draw(st.sampled_from(["general", "f-identity", "g-identity"]))
+    b = mk_finset([f"b{i}" for i in range(draw(st.integers(0, 3)))])
+    a = mk_finset([f"a{i}" for i in range(
+        draw(st.integers(0, 4)) if len(b) else 0)])
+    f = identity_fn(a) if shape == "f-identity" else fn(a, b)
+    if shape == "g-identity":
+        return f, identity_fn(a)
+    z = mk_finset([f"z{i}" for i in range(
+        draw(st.integers(0, 6)) if len(a) else 0)])
+    return f, fn(z, a)
+
+
+def sections_by_search(f, x):
+    """pi(f, x)'s carrier, by filtering every table over each fiber."""
+    return FinSetObj(
+        [Pair(b, Sect(zip(f.fiber(b), values))) for b in f.cod
+         for values in product(x.carrier, repeat=len(f.fiber(b)))
+         if all(x.arrow(v) == a for a, v in zip(f.fiber(b), values))])
 
 
 class TestSigma:
@@ -122,6 +161,43 @@ class TestPi:
         x = SliceObj(FinFn(empty, empty, []))
         out = pi(f, x)
         assert len(out.arrow.fiber(Atom("b"))) == 1
+
+
+class TestLazyPi:
+    @given(chains())
+    @settings(max_examples=150, deadline=None)
+    def test_carrier_equals_its_eager_rebuild(self, chain):
+        f, g = chain
+        x = SliceObj(g)
+        if f.is_identity:
+            assert pi(f, x) is x
+            return
+        if g.is_identity:
+            assert pi(f, x) == terminal_slice(f.cod)
+            return
+        eager = sections_by_search(f, x)
+        with recorded_builds() as built:
+            out = pi(f, x)
+            assert len(out.carrier) == len(eager)
+            assert out.arrow.idx == tuple(
+                f.cod._index[e.left] for e in eager)
+        assert built == []
+        assert pi(f, x).carrier == eager
+        assert eager == pi(f, x).carrier
+        assert hash(pi(f, x).carrier) == hash(eager)
+        assert out.carrier.elements == eager.elements
+
+    @given(chains())
+    @settings(max_examples=150, deadline=None)
+    def test_dist_pullback_p_is_the_section_value_table(self, chain):
+        f, g = chain
+        d = dist_pullback(f, g)
+        sq = pullback(f, d.r)
+        assert d.X == sq.apex and d.q == sq.proj2
+        fdom, ys = f.dom.elements, d.Y.elements
+        assert d.p.idx == tuple(
+            g.dom._index[pi_section_value(f, SliceObj(g), ys[iy], fdom[ia])]
+            for ia, iy in zip(sq.proj1.idx, sq.proj2.idx))
 
 
 class TestDistPullback:
