@@ -21,12 +21,11 @@ from .errors import (
     ParseError,
     PolyfinError,
 )
-from .extension import eval_obj
 from .finset import paranoid_checks
 from .gen import InstanceGenConfig
 from .laws import LAWS, run_laws
 from .poly import compose_seq
-from .symbolic import decode, encode, fiber_slice, parse_poly
+from .symbolic import decode, encode, eval_with_trace, parse_poly
 
 
 def _emit(data, out_path: str | None) -> None:
@@ -102,15 +101,7 @@ def _parse_assignment(text: str) -> dict[str, int]:
 
 def cmd_eval(args) -> int:
     p = jsonio.poly_from_json(_read_json(args.file))
-    assignment = _parse_assignment(args.assign)
-    from .finset import Atom
-    for e in p.tgt:
-        if not isinstance(e, Atom):
-            raise NotNameable("target elements must be atoms")
-    x = fiber_slice(p, assignment)
-    out, trace = eval_obj(p, x)
-    fibers = out.arrow.fiber_positions()
-    counts = {e.token: len(fib) for e, fib in zip(out.arrow.cod, fibers)}
+    counts, trace = eval_with_trace(p, _parse_assignment(args.assign))
     payload: dict = {"counts": counts}
     if args.trace:
         payload["trace"] = jsonio.eval_trace_to_json(trace)

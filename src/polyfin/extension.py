@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCartesian, NotComposable
-from .finset import FinFn, FinSetObj, PullbackSquare, compose_fn, mediate
+from .finset import (Element, FinFn, FinSetObj, Pair, PullbackSquare, Sect,
+                     compose_fn, mediate)
 from .poly import (
     CartesianMorphism,
     Polynomial,
@@ -29,8 +30,6 @@ from .slices import (
     delta_mor,
     dist_pullback,
     dpb_compare,
-    pi_make_element,
-    pi_section_value,
     pullback_square_for_delta,
     sigma,
     sigma_mor,
@@ -134,6 +133,29 @@ def coherence_component(q: Polynomial, p: Polynomial, x: SliceObj) -> SliceMor:
     lhs = eval_obj(q, eval_obj(p, x)[0])[0]
     rhs = eval_obj(compose2(q, p), x)[0]
     return SliceMor(lhs, rhs, a.f1)
+
+
+def pi_section_value(f: FinFn, x: SliceObj, elem: Element, a: Element) -> Element:
+    """Value at fiber point a of the section encoded by a pi(f, x) element.
+
+    Element-level reference for the oracle; the library reads positions.
+    """
+    if f.is_identity:
+        return elem
+    if x.arrow.is_identity:
+        return a
+    assert isinstance(elem, Pair) and isinstance(elem.right, Sect)
+    return elem.right[a]
+
+
+def pi_make_element(f: FinFn, x: SliceObj, b: Element,
+                    values: dict[Element, Element]) -> Element:
+    """Encode a section of x over f's fiber of b as a pi(f, x) element."""
+    if f.is_identity:
+        return values[b]
+    if x.arrow.is_identity:
+        return b
+    return Pair(b, Sect(values.items()))
 
 
 def coherence_component_direct(q: Polynomial, p: Polynomial,

@@ -12,6 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from math import prod
 
 from . import gen, jsonio
 from .errors import PolyfinError
@@ -59,6 +60,7 @@ from .poly import (
 )
 from .slices import (
     DistPB,
+    SliceObj,
     check_dpb_terminal,
     delta,
     delta_component,
@@ -95,10 +97,8 @@ class LawReport:
 
 
 def _homset_size(x, y) -> int:
-    total = 1
-    for e in x.carrier:
-        total *= len(y.arrow.fiber(x.arrow(e)))
-    return total
+    yfibers = y.arrow.fiber_positions()
+    return prod(len(yfibers[j]) for j in x.arrow.idx)
 
 
 def _adjunction_instance(rng: random.Random, size: int, tries: int = 12):
@@ -164,17 +164,6 @@ def _law_delta_criterion(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _pi_size(f: FinFn, g: FinFn) -> int:
-    """Cardinality of the dependent product of g along f, arithmetically."""
-    total = 0
-    for b in f.cod:
-        prod = 1
-        for a in f.fiber(b):
-            prod *= len(g.fiber(a))
-        total += prod
-    return total
-
-
 def _comp_cancel_instance(rng: random.Random, size: int, tries: int = 10):
     for attempt in range(tries):
         cap = size if attempt < tries - 1 else 2
@@ -185,10 +174,10 @@ def _comp_cancel_instance(rng: random.Random, size: int, tries: int = 10):
         f = gen.rand_fn(rng, x, y)
         g = gen.rand_fn(rng, y, z)
         h = gen.rand_fn(rng, b, x)
-        if _pi_size(f, h) > 400:
+        if len(pi(f, SliceObj(h)).carrier) > 400:
             continue
         d1 = dist_pullback(f, h)
-        if _pi_size(g, d1.r) > 400:
+        if len(pi(g, SliceObj(d1.r)).carrier) > 400:
             continue
         return f, g, h, d1
     raise PolyfinError("could not draw a tractable pasting instance")
@@ -224,8 +213,8 @@ def _cube_instance(rng: random.Random, size: int, tries: int = 10):
         c3 = gen.rand_set(rng, cap, "c3", min_size=0)
         d4 = gen.rand_fn(rng, c3, c2)
         mid = pullback(inner.proj2, d4)
-        if (_pi_size(g2, d4) <= 400
-                and _pi_size(inner.proj1, mid.proj1) <= 400):
+        if (len(pi(g2, SliceObj(d4)).carrier) <= 400
+                and len(pi(inner.proj1, SliceObj(mid.proj1)).carrier) <= 400):
             return inner, mid, g2, k2, d4
     raise PolyfinError("could not draw a tractable cube instance")
 

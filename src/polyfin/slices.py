@@ -6,25 +6,26 @@ terminality test, the comparison map whose invertibility characterizes
 terminality, Beck-Chevalley components for commuting squares, and the
 natural section triples of a distributivity pullback.
 
-A dependent product's carrier over a base point is the set of section
-tables of the fiber, numbered in the mixed radix of the fiber sizes.  Its
-arrow is computed from fiber sizes alone and its carrier is lazy, built
-only when its elements are read; so are the apexes of chosen pullbacks.
-A distributivity pullback's p is read off by digit extraction, so
-evaluation that only counts builds no section table.  The chosen
-degenerate shapes make the identity laws strict: pulling back along an
-identity, or taking the dependent product of an identity, returns its
-argument on the nose.
+Dependent-product sections are numbered in one place, _Sections: a
+section over b is b's offset plus the mixed-radix number of its choices
+in the fibers.  That numbering gives pi its arrow, decodes a
+distributivity pullback's p, and encodes every section table
+(pi_tabulate), all on position tables, so no caller reads or builds a
+Sect.  pi's carrier and the apexes of chosen pullbacks are lazy, built
+only when their elements are read.  The chosen degenerate shapes make
+the identity laws strict: pulling back along an identity, or taking the
+dependent product along an identity, returns its argument on the nose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import prod
-from typing import Callable
+from itertools import islice, product
+from operator import mul
+from typing import Callable, Iterable
 
 from .errors import (
+    IllFormedFunction,
     IllFormedMorphism,
     NotAPullbackAround,
     NotASection,
@@ -122,14 +123,67 @@ def delta_mor(f: FinFn, h: SliceMor) -> SliceMor:
     return SliceMor(SliceObj(src_sq.proj2), SliceObj(tgt_sq.proj2), med)
 
 
+class _Sections:
+    """The numbering of pi(f, x)'s sections on positions, for x into f.dom.
+
+    A section over b picks a point of x's fiber over each point a of f's
+    fiber over b.  Its number is offset[b], the count of sections over
+    earlier points, plus the sum of each pick's rank within its x-fiber
+    times stride[a], the product of the x-fiber sizes of the later points
+    of f's fiber: a mixed radix, first point most significant.  For f an
+    identity pi(f, x) is x, and a section is numbered by its one value.
+    """
+
+    def __init__(self, f: FinFn, x: FinFn):
+        self.identity, self.fidx, self.xidx = f.is_identity, f.idx, x.idx
+        self.fibers, self.xfibers = f.fiber_positions(), x.fiber_positions()
+        self.offset, self.stride = [0], [0] * len(f.idx)
+        for fib in self.fibers:
+            weight = 1
+            for a in reversed(fib):
+                self.stride[a] = weight
+                weight *= len(self.xfibers[a])
+            self.offset.append(self.offset[-1] + weight)
+
+    def decode(self, at: Iterable[int], ys: Iterable[int]) -> list[int]:
+        """For each point a in at and section y in ys, y's value at a."""
+        if self.identity:
+            return list(ys)
+        xfibers, offset, stride, fidx = (self.xfibers, self.offset,
+                                         self.stride, self.fidx)
+        return [xfibers[a][(y - offset[fidx[a]]) // stride[a] % len(xfibers[a])]
+                for a, y in zip(at, ys)]
+
+    def encode(self, bs: tuple[int, ...],
+               values: Callable[[list[int], list[int]], list[int]]
+               ) -> list[int]:
+        """Section numbers over bs; values(es, at)[k] is es[k]'s value at at[k].
+
+        (es, at) runs through f's fiber over bs[e] for each e in turn.
+        """
+        fibers, stride = self.fibers, self.stride
+        es = [e for e, b in enumerate(bs) for _ in fibers[b]]
+        at = [a for b in bs for a in fibers[b]]
+        vals = values(es, at)
+        if list(map(self.xidx.__getitem__, vals)) != at:
+            raise IllFormedFunction("section value lies outside its fiber")
+        if self.identity:
+            return vals
+        rank = {v: i for fib in self.xfibers for i, v in enumerate(fib)}
+        digits = iter(map(mul, map(rank.__getitem__, vals),
+                          map(stride.__getitem__, at)))
+        return [self.offset[b] + sum(islice(digits, len(fibers[b])))
+                for b in bs]
+
+
 def pi(f: FinFn, x: SliceObj) -> SliceObj:
     """Dependent product of a slice over f.dom along f.
 
     The carrier over b consists of the section tables of x's fibers across
     f's fiber of b, encoded Pair(b, Sect(...)), in itertools.product order
-    of the choices, which is canonical.  The arrow comes from products of
-    fiber sizes; the carrier is lazy.  Degenerate shapes are strict:
-    pi(id, x) = x and pi(f, 1) = 1.
+    of the choices, which is canonical and is _Sections' numbering.  The
+    arrow comes from that numbering; the carrier is lazy.  Degenerate
+    shapes are strict: pi(id, x) = x and pi(f, 1) = 1.
     """
     if x.base != f.dom:
         raise NotComposable("slice base must be the domain of f")
@@ -137,10 +191,9 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
         return x
     if x.arrow.is_identity:
         return terminal_slice(f.cod)
-    xfibers = x.arrow.fiber_positions()
-    over = []
-    for j, fib in enumerate(f.fiber_positions()):
-        over.extend([j] * prod(map(len, map(xfibers.__getitem__, fib))))
+    offset, over = _Sections(f, x.arrow).offset, []
+    for b in range(len(f.cod)):
+        over.extend([b] * (offset[b + 1] - offset[b]))
 
     def build() -> list[Element]:
         elems = []
@@ -154,51 +207,25 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
     return SliceObj(FinFn(carrier, f.cod, idx=over))
 
 
-def pi_section_value(f: FinFn, x: SliceObj, elem: Element, a: Element) -> Element:
-    """Value at fiber point a of the section encoded by a pi(f, x) element.
-
-    Mirrors pi's degenerate branches, so callers never pattern-match on the
-    element structure directly.
-    """
-    if f.is_identity:
-        return elem
-    if x.arrow.is_identity:
-        return a
-    assert isinstance(elem, Pair) and isinstance(elem.right, Sect)
-    return elem.right[a]
-
-
-def pi_make_element(f: FinFn, x: SliceObj, b: Element,
-                    values: dict[Element, Element]) -> Element:
-    """Encode a section of x over f's fiber of b as a pi(f, x) element."""
-    if f.is_identity:
-        return values[b]
-    if x.arrow.is_identity:
-        return b
-    return Pair(b, Sect(values.items()))
-
-
 def pi_tabulate(f: FinFn, x: SliceObj, base: FinFn,
-                value: Callable[[Element, Element], Element],
+                values: Callable[[list[int], list[int]], list[int]],
                 cod: FinSetObj) -> FinFn:
-    """The map base.dom -> cod tabulating one pi(f, x) section per point.
+    """The map base.dom -> cod sending e to a pi(f, x) section over base(e).
 
-    Each e goes to the element whose section over f's fiber of base(e)
-    sends each point a of that fiber to value(e, a); cod is the carrier
-    of pi(f, x) or a set equal to it.
+    Its values come from values(es, at), as in _Sections.encode; cod is
+    the carrier of pi(f, x) or a set equal to it.
     """
-    return FinFn(base.dom, cod, [
-        (e, pi_make_element(f, x, b, {a: value(e, a) for a in f.fiber(b)}))
-        for e, b in base.graph])
+    return FinFn(base.dom, cod,
+                 idx=_Sections(f, x.arrow).encode(base.idx, values))
 
 
 def pi_mor(f: FinFn, h: SliceMor) -> SliceMor:
     """Image of a slice morphism under the dependent product along f."""
-    src = pi(f, h.src)
-    tgt = pi(f, h.tgt)
+    src, tgt = pi(f, h.src), pi(f, h.tgt)
+    sections, med = _Sections(f, h.src.arrow), h.mediating.idx
     return SliceMor(src, tgt, pi_tabulate(
         f, h.tgt, src.arrow,
-        lambda e, a: h.mediating(pi_section_value(f, h.src, e, a)),
+        lambda es, at: [med[v] for v in sections.decode(at, es)],
         tgt.carrier))
 
 
@@ -242,63 +269,29 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     Y carries pi(f, g) with r its arrow, X is the chosen pullback of r
     along f, and p evaluates the section at the fiber point.  Degenerate
     chains are the chosen strict shapes: for f an identity the result is
-    (1, 1, g); for g an identity it is (1, f, 1).  Otherwise p is computed
-    on positions alone (_section_digits), so neither X nor Y is built.
+    (1, 1, g); for g an identity it is (1, f, 1).  p is decoded on
+    positions (_Sections), so neither X nor Y is built.
     """
     from .finset import pullback
     if g.cod != f.dom:
         raise NotComposable("g must land in the domain of f")
-    gslice = SliceObj(g)
-    yslice = pi(f, gslice)
+    yslice = pi(f, SliceObj(g))
     sq = pullback(f, yslice.arrow)
     X, q = sq.apex, sq.proj2
-    if f.is_identity or g.is_identity:
-        fdom, ys, gpos = f.dom.elements, yslice.carrier.elements, g.dom._index
-        p_idx = [gpos[pi_section_value(f, gslice, ys[iy], fdom[ia])]
-                 for ia, iy in zip(sq.proj1.idx, q.idx)]
-    else:
-        p_idx = _section_digits(f, g, yslice.arrow, sq.proj1.idx, q.idx)
-    p = FinFn(X, g.dom, idx=p_idx)
+    p = FinFn(X, g.dom, idx=_Sections(f, g).decode(sq.proj1.idx, q.idx))
     return DistPB(f, g, X, yslice.carrier, p, q, yslice.arrow)
 
 
-def _section_digits(f: FinFn, g: FinFn, r: FinFn, at: tuple[int, ...],
-                    ys: tuple[int, ...]) -> list[int]:
-    """Positions in g.dom of the values of pi(f, g) sections at points.
-
-    For each pair (a, y) of a position in f.dom and one in r.dom, the
-    position of section y's value at a.  Section y over b = f(a) is number
-    y - offset_b among those over b, written in the mixed radix of the
-    sizes of g's fibers over f's fiber of b, first point most significant;
-    if a sits at slot t of that fiber, digit t picks the value within g's
-    fiber of a.
-    """
-    gfibers = g.fiber_positions()
-    offset = [fib[0] if fib else 0 for fib in r.fiber_positions()]
-    stride = [0] * len(f.idx)
-    for fib in f.fiber_positions():
-        weight = 1
-        for a in reversed(fib):
-            stride[a] = weight
-            weight *= len(gfibers[a])
-    fidx = f.idx
-    return [gfibers[a][(y - offset[fidx[a]]) // stride[a] % len(gfibers[a])]
-            for a, y in zip(at, ys)]
-
-
 class _OuterIndex(dict):
-    """The points x of a square's apex, keyed by (left(x), right(x)).
+    """The positions of a square's apex, keyed by (left, right) positions.
 
     Raises NotAPullbackAround when two points share a key, or when a key
     with no point is looked up: the square is not a pullback then.
     """
 
     def __init__(self, left: FinFn, right: FinFn):
-        lcod, rcod = left.cod.elements, right.cod.elements
-        super().__init__(zip(zip(map(lcod.__getitem__, left.idx),
-                                 map(rcod.__getitem__, right.idx)),
-                             left.dom.elements))
-        if len(self) != len(left.dom):
+        super().__init__(zip(zip(left.idx, right.idx), range(len(left.idx))))
+        if len(self) != len(left.idx):
             raise NotAPullbackAround("outer square is not a pullback")
 
     def __missing__(self, key):
@@ -319,12 +312,12 @@ def dpb_compare(d: DistPB, p: FinFn, q: FinFn, r: FinFn
     cand = DistPB(f, g, p.dom, r.dom, p, q, r)
     cand.validate_shape()
     gp = compose_fn(g, p)
-    locate = _OuterIndex(q, gp)
-    t = pi_tabulate(f, SliceObj(g), r, lambda y, a: p(locate[y, a]), d.Y)
-    gp_chosen = compose_fn(g, d.p)
-    index = {key: i for i, key in enumerate(zip(gp_chosen.idx, d.q.idx))}
-    s = FinFn(p.dom, d.X, idx=[
-        index[(a, t.idx[y])] for a, y in zip(gp.idx, q.idx)])
+    locate, pidx = _OuterIndex(q, gp), p.idx
+    t = pi_tabulate(f, SliceObj(g), r,
+                    lambda ys, at: [pidx[locate[k]] for k in zip(ys, at)], d.Y)
+    chosen, tidx = _OuterIndex(d.q, compose_fn(g, d.p)), t.idx
+    s = FinFn(p.dom, d.X, idx=[chosen[tidx[y], a]
+                               for y, a in zip(q.idx, gp.idx)])
     if paranoid_enabled():
         _assert_unique_dpb_mediator(d, cand, s, t)
     return s, t
@@ -383,8 +376,8 @@ def _assert_unique_dpb_mediator(d: DistPB, cand: DistPB,
 
 
 def _all_fns(dom: FinSetObj, cod: FinSetObj):
-    for values in product(cod.elements, repeat=len(dom)):
-        yield FinFn(dom, cod, list(zip(dom.elements, values)))
+    return (FinFn(dom, cod, idx=values)
+            for values in product(range(len(cod)), repeat=len(dom)))
 
 
 def delta_component(d: DistPB, z: SliceObj) -> SliceMor:
@@ -404,10 +397,11 @@ def delta_component(d: DistPB, z: SliceObj) -> SliceMor:
     sg = sigma(g, z)
     rhs = pi(f, sg)
     locate = _OuterIndex(d.q, compose_fn(g, d.p))
+    sections, eps, over = _Sections(d.q, dz.arrow), eps_p.idx, piq.arrow.idx
     return SliceMor(lhs, rhs, pi_tabulate(
         f, sg, lhs.arrow,
-        lambda e, a: eps_p(pi_section_value(d.q, dz, e,
-                                            locate[piq.arrow(e), a])),
+        lambda es, at: [eps[v] for v in sections.decode(
+            [locate[over[e], a] for e, a in zip(es, at)], es)],
         rhs.carrier))
 
 
@@ -506,12 +500,9 @@ def slice_homset(x: SliceObj, y: SliceObj) -> list[SliceMor]:
     """All slice morphisms x -> y, enumerated in canonical order."""
     if x.base != y.base:
         raise NotComposable("slices live over different bases")
-    per_elem = [y.arrow.fiber(x.arrow(e)) for e in x.carrier]
-    out = []
-    for combo in product(*per_elem):
-        fn = FinFn(x.carrier, y.carrier, list(zip(x.carrier.elements, combo)))
-        out.append(SliceMor(x, y, fn))
-    return out
+    yfibers = y.arrow.fiber_positions()
+    return [SliceMor(x, y, FinFn(x.carrier, y.carrier, idx=combo))
+            for combo in product(*map(yfibers.__getitem__, x.arrow.idx))]
 
 
 def sigma_delta_transpose(f: FinFn, x: SliceObj, y: SliceObj,
@@ -527,9 +518,9 @@ def delta_pi_transpose(f: FinFn, y: SliceObj, x: SliceObj,
     """Adjunct of m : delta_f y -> x across pullback -| dependent product."""
     sq = pullback_square_for_delta(f, y)
     locate = _OuterIndex(sq.proj1, sq.proj2)
-    target = pi(f, x)
+    target, med = pi(f, x), m.mediating.idx
     return SliceMor(y, target, pi_tabulate(
-        f, x, y.arrow, lambda e, a: m.mediating(locate[e, a]),
+        f, x, y.arrow, lambda es, at: [med[locate[k]] for k in zip(es, at)],
         target.carrier))
 
 

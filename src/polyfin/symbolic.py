@@ -18,6 +18,7 @@ from .errors import (
     NotNameable,
     ParseError,
 )
+from .extension import EvalTrace, eval_obj
 from .finset import Atom, FinFn, FinSetObj, mk_finset
 from .poly import Polynomial, mk_poly
 from .slices import SliceObj
@@ -279,13 +280,18 @@ def eval_via_extension(p: Polynomial, assignment: dict[str, int]) -> dict[str, i
     Must agree with eval_sym on encoded expressions; this is the central
     cross-check between the diagrammatic and arithmetic views.
     """
-    from .extension import eval_obj
+    return eval_with_trace(p, assignment)[0]
+
+
+def eval_with_trace(p: Polynomial, assignment: dict[str, int]
+                    ) -> tuple[dict[str, int], EvalTrace]:
+    """eval_via_extension's counts, read off fiber positions, and the trace."""
     for e in p.tgt:
         if not isinstance(e, Atom):
             raise NotNameable(f"target element {e!r} is not an atom")
-    x = fiber_slice(p, assignment)
-    out, _ = eval_obj(p, x)
-    return {e.token: len(out.arrow.fiber(e)) for e in p.tgt}
+    out, trace = eval_obj(p, fiber_slice(p, assignment))
+    fibers = out.arrow.fiber_positions()
+    return {e.token: len(fib) for e, fib in zip(p.tgt, fibers)}, trace
 
 
 def substitute(q: SymPoly, p: SymPoly) -> SymPoly:

@@ -380,9 +380,23 @@ class TestEval:
         assert code == 4
         assert "evaluation error" in err
 
+    def test_non_atom_target_exits_4(self, capsys, tmp_path):
+        from polyfin.finset import Atom, FinFn, FinSetObj, Pair, mk_finset
+        from polyfin.poly import mk_poly
+        a, b = mk_finset(["a"]), mk_finset(["b"])
+        src = mk_finset(["x"])
+        tgt = FinSetObj([Pair(Atom("o"), Atom("1"))])
+        p = mk_poly(FinFn(a, src, idx=[0]), FinFn(a, b, idx=[0]),
+                    FinFn(b, tgt, idx=[0]))
+        f1 = tmp_path / "p.json"
+        f1.write_text(json.dumps(jsonio.poly_to_json(p)), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(f1), "--assign", "x=2")
+        assert code == 4 and out == ""
+        assert "evaluation error" in err and "not an atom" in err
+
     def test_counting_builds_no_stage_carrier(self, capsys, tmp_path,
                                               monkeypatch):
-        import polyfin.cli
+        import polyfin.symbolic
         traces = []
 
         def keep_trace(p, x):
@@ -390,7 +404,7 @@ class TestEval:
             traces.append(trace)
             return out, trace
 
-        monkeypatch.setattr(polyfin.cli, "eval_obj", keep_trace)
+        monkeypatch.setattr(polyfin.symbolic, "eval_obj", keep_trace)
         f1 = tmp_path / "p.json"
         run(capsys, "encode", EXPR, "--in", "w,x,y,z", "-o", str(f1))
         with recorded_builds() as built:

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfin import gen
-from polyfin.errors import NotAPullbackAround, NotASection, NotComposable
+from polyfin.errors import (
+    IllFormedFunction,
+    NotAPullbackAround,
+    NotASection,
+    NotComposable,
+)
+from polyfin.extension import pi_make_element, pi_section_value
 from polyfin.finset import (
     Atom,
     FinFn,
@@ -35,8 +41,9 @@ from polyfin.slices import (
     dpb_mediate,
     induce_sections,
     left_bc_component,
+    _Sections,
     pi,
-    pi_section_value,
+    pi_tabulate,
     right_bc_component,
     sigma,
     sigma_delta_transpose,
@@ -198,6 +205,167 @@ class TestLazyPi:
         assert d.p.idx == tuple(
             g.dom._index[pi_section_value(f, SliceObj(g), ys[iy], fdom[ia])]
             for ia, iy in zip(sq.proj1.idx, sq.proj2.idx))
+
+
+class TestSectionNumbering:
+    """_Sections numbers pi's sections on positions: encoding a section's
+    values gives its carrier position, and decoding gives the values back."""
+
+    @given(chains(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_encode_then_decode_returns_the_values(self, chain, data):
+        f, g = chain
+        x = SliceObj(g)
+        out = pi(f, x)
+        if not f.is_identity and not g.is_identity:
+            assert out.carrier == sections_by_search(f, x)
+        fibers, gfibers = f.fiber_positions(), g.fiber_positions()
+        bs = data.draw(st.lists(st.sampled_from(sorted(set(out.arrow.idx))),
+                                max_size=5)) if len(out.carrier) else []
+        picks = [[data.draw(st.sampled_from(gfibers[a])) for a in fibers[b]]
+                 for b in bs]
+        flat = [v for row in picks for v in row]
+        seen = []
+
+        def values(es, at):
+            seen.append((es, at))
+            return list(flat)
+
+        sections = _Sections(f, g)
+        numbers = sections.encode(tuple(bs), values)
+        [(es, at)] = seen
+        assert at == [a for b in bs for a in fibers[b]]
+        assert es == [e for e, b in enumerate(bs) for _ in fibers[b]]
+        assert sections.decode(at, [numbers[e] for e in es]) == flat
+        fdom, elems = f.dom.elements, out.carrier.elements
+        for b, n, row in zip(bs, numbers, picks):
+            assert out.arrow.idx[n] == b
+            assert [g.dom._index[pi_section_value(f, x, elems[n], fdom[a])]
+                    for a in fibers[b]] == row
+
+    def test_value_outside_its_fiber_is_rejected(self):
+        a, b = mk_finset(["a1", "a2"]), mk_finset(["b"])
+        z = mk_finset(["z1", "z2"])
+        f = constant_fn(a, b, Atom("b"))
+        g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a2"))])
+        y = pi(f, SliceObj(g))
+        with pytest.raises(IllFormedFunction, match="outside its fiber"):
+            pi_tabulate(f, SliceObj(g), y.arrow,
+                        lambda es, at: [0 for _ in at], y.carrier)
+
+    def test_section_past_a_dropped_last_one_is_out_of_range(self):
+        a, b = mk_finset(["a1", "a2"]), mk_finset(["b"])
+        z = mk_finset(["z1", "z2", "z3"])
+        f = constant_fn(a, b, Atom("b"))
+        g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
+                         (Atom("z3"), Atom("a2"))])
+        y = pi(f, SliceObj(g))
+        short = FinSetObj(y.carrier.elements[:-1])
+        with pytest.raises(IllFormedFunction, match="does not fit"):
+            pi_tabulate(f, SliceObj(g), y.arrow,
+                        lambda es, at: [g.fiber_positions()[a][-1]
+                                        for a in at], short)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("section read or written through elements")
+
+
+class TestNoElementSections:
+    """The core tabulates and decodes sections on positions alone."""
+
+    @pytest.fixture
+    def no_element_sections(self, monkeypatch):
+        import polyfin.extension
+        import polyfin.slices
+        for module in (polyfin.slices, polyfin.extension):
+            for name in ("pi_section_value", "pi_make_element"):
+                monkeypatch.setattr(module, name, _raise, raising=False)
+        monkeypatch.setattr(Sect, "__getitem__", _raise)
+
+    def test_core_operations_succeed(self, rng, no_element_sections):
+        from polyfin.slices import pi_mor
+        for _ in range(15):
+            d = gen.rand_dpb(rng, 3)
+            f, g = d.around_f, d.around_g
+            cand = gen.duplicate_dpb(d, rng) or d
+            s, t = dpb_compare(dist_pullback(f, g), cand.p, cand.q, cand.r)
+            assert compose_fn(d.p, s) == cand.p
+            z = gen.rand_slice(rng, g.dom, 3)
+            assert delta_component(d, z).is_bijective
+            assert delta_component(
+                d, terminal_slice(g.dom)).is_bijective
+            y = gen.rand_slice(rng, f.cod, 2)
+            x = gen.rand_slice(rng, f.dom, 2)
+            for m in slice_homset(delta(f, y)[0], x)[:5]:
+                delta_pi_transpose(f, y, x, m)
+            for h in slice_homset(x, gen.rand_slice(rng, f.dom, 2))[:5]:
+                pi_mor(f, h)
+
+    def test_dpb_compare_into_a_chosen_dpb_builds_nothing(self, rng):
+        for _ in range(20):
+            d = gen.rand_dpb(rng, 3)
+            cand = gen.duplicate_dpb(d, rng) or d
+            chosen = dist_pullback(d.around_f, d.around_g)
+            with recorded_builds() as built:
+                s, t = dpb_compare(chosen, cand.p, cand.q, cand.r)
+                s2, t2 = dpb_compare(chosen, chosen.p, chosen.q, chosen.r)
+            assert built == []
+            assert s2.is_identity and t2.is_identity
+            assert compose_fn(chosen.p, s) == cand.p
+
+
+class TestSectionTablesMatchElements:
+    """Tabulated maps equal their element-level definitions."""
+
+    def test_pi_mor(self, rng):
+        from polyfin.slices import pi_mor
+        for _ in range(15):
+            a = gen.rand_set(rng, 3, "a")
+            f = gen.rand_fn(rng, a, gen.rand_set(rng, 2, "b"))
+            x, w = gen.rand_slice(rng, a, 3), gen.rand_slice(rng, a, 3)
+            for h in slice_homset(x, w)[:4]:
+                img = pi_mor(f, h)
+                for e in img.src.carrier:
+                    b = img.src.arrow(e)
+                    values = {pt: h.mediating(pi_section_value(f, x, e, pt))
+                              for pt in f.fiber(b)}
+                    assert img.mediating(e) == pi_make_element(f, w, b,
+                                                               values)
+
+    def test_delta_pi_transpose(self, rng):
+        for _ in range(15):
+            a = gen.rand_set(rng, 3, "a")
+            f = gen.rand_fn(rng, a, gen.rand_set(rng, 2, "b"))
+            y = gen.rand_slice(rng, f.cod, 2)
+            x = gen.rand_slice(rng, a, 2)
+            sq = pullback(y.arrow, f)
+            point = {(sq.proj1(e), sq.proj2(e)): e for e in sq.apex}
+            for m in slice_homset(delta(f, y)[0], x)[:4]:
+                adj = delta_pi_transpose(f, y, x, m)
+                for e in y.carrier:
+                    b = y.arrow(e)
+                    values = {pt: m.mediating(point[e, pt])
+                              for pt in f.fiber(b)}
+                    assert adj.mediating(e) == pi_make_element(f, x, b,
+                                                               values)
+
+    def test_delta_component(self, rng):
+        for _ in range(15):
+            d = gen.rand_dpb(rng, 2)
+            d = gen.duplicate_dpb(d, rng) or d
+            f, g = d.around_f, d.around_g
+            z = gen.rand_slice(rng, g.dom, 2)
+            comp = delta_component(d, z)
+            dz, eps_p = delta(d.p, z)
+            sg = sigma(g, z)
+            point = {(d.q(pt), g(d.p(pt))): pt for pt in d.X}
+            for e in comp.src.carrier:
+                y = pi(d.q, dz).arrow(e)
+                b = d.r(y)
+                values = {a: eps_p(pi_section_value(d.q, dz, e, point[y, a]))
+                          for a in f.fiber(b)}
+                assert comp.mediating(e) == pi_make_element(f, sg, b, values)
 
 
 class TestDistPullback:
@@ -507,11 +675,7 @@ class TestBeckChevalley:
                     assert comp.mediating(e) == expected
 
     def test_right_cell_matches_element_formula(self, rng):
-        from polyfin.slices import (
-            pi_make_element,
-            pi_section_value,
-            pullback_square_for_delta,
-        )
+        from polyfin.slices import pullback_square_for_delta
         for _ in range(8):
             sq = self._square(rng, rng.random() < 0.5)
             if sq is None:

@@ -10,7 +10,7 @@ from polyfin.errors import (
     NotNameable,
     ParseError,
 )
-from polyfin.finset import Atom, Pair, mk_finset
+from polyfin.finset import Atom, FinSetObj, Pair, mk_finset
 from polyfin.poly import compose2, identity_poly, span_poly
 from polyfin.symbolic import (
     SymPoly,
@@ -18,9 +18,12 @@ from polyfin.symbolic import (
     encode,
     eval_sym,
     eval_via_extension,
+    eval_with_trace,
     parse_poly,
     substitute,
 )
+
+from support import recorded_builds
 
 EXPR = "x^3*y + 2 ; 3*x^2*z + y"
 VARS = ["w", "x", "y", "z"]
@@ -185,6 +188,21 @@ class TestEvalViaExtension:
         p = encode(parse_poly("x", in_vars=["x"]))
         with pytest.raises(IncompleteAssignment):
             eval_via_extension(p, {"y": 1})
+
+    def test_counting_builds_no_stage_carrier(self):
+        p = encode(parse_poly(EXPR, in_vars=VARS))
+        a = {"w": 2, "x": 2, "y": 3, "z": 2}
+        with recorded_builds() as built:
+            counts, trace = eval_with_trace(p, a)
+            assert eval_via_extension(p, a) == counts
+        assert built == []
+        assert counts == eval_sym(parse_poly(EXPR, in_vars=VARS), a)
+        assert len(trace.C4) == sum(counts.values())
+
+    def test_non_atom_target_is_not_nameable(self):
+        bad = identity_poly(FinSetObj([Pair(Atom("o"), Atom("1"))]))
+        with pytest.raises(NotNameable, match="target element"):
+            eval_with_trace(bad, {})
 
 
 class TestSubstitution:
