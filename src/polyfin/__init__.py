@@ -57,7 +57,6 @@ from .poly import (
     compose2,
     compose_seq,
     embed_map,
-    extend_left,
     extend_right,
     hom_project,
     hom_pullback,
@@ -74,6 +73,7 @@ from .extension import (
     eval_obj,
     nat_component,
 )
+from .oracles import extend_left
 from .symbolic import (
     SymPoly,
     decode,

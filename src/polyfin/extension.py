@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCartesian, NotComposable
-from .finset import (Element, FinFn, FinSetObj, Pair, PullbackSquare, Sect,
-                     compose_fn, mediate)
+from .finset import FinFn, FinSetObj, PullbackSquare, compose_fn, mediate
 from .poly import (
     CartesianMorphism,
     Polynomial,
@@ -34,6 +33,7 @@ from .slices import (
     sigma,
     sigma_mor,
     pi_mor,
+    terminal_slice,
 )
 
 
@@ -135,76 +135,6 @@ def coherence_component(q: Polynomial, p: Polynomial, x: SliceObj) -> SliceMor:
     return SliceMor(lhs, rhs, a.f1)
 
 
-def pi_section_value(f: FinFn, x: SliceObj, elem: Element, a: Element) -> Element:
-    """Value at fiber point a of the section encoded by a pi(f, x) element.
-
-    Element-level reference for the oracle; the library reads positions.
-    """
-    if f.is_identity:
-        return elem
-    if x.arrow.is_identity:
-        return a
-    assert isinstance(elem, Pair) and isinstance(elem.right, Sect)
-    return elem.right[a]
-
-
-def pi_make_element(f: FinFn, x: SliceObj, b: Element,
-                    values: dict[Element, Element]) -> Element:
-    """Encode a section of x over f's fiber of b as a pi(f, x) element."""
-    if f.is_identity:
-        return values[b]
-    if x.arrow.is_identity:
-        return b
-    return Pair(b, Sect(values.items()))
-
-
-def coherence_component_direct(q: Polynomial, p: Polynomial,
-                               x: SliceObj) -> SliceMor:
-    """Independent route to the same comparison, by section re-indexing.
-
-    Rebuilds the composite's staging and transports each nested section
-    table pointwise.  Used to cross-check the mediation-based route.
-    """
-    from .finset import pullback
-    if p.tgt != q.src or x.base != p.src:
-        raise NotComposable("arguments do not compose")
-    op, tp = eval_obj(p, x)
-    oq, tq = eval_obj(q, op)
-    c = compose2(q, p)
-    oc, tc = eval_obj(c, x)
-    dslice_p = SliceObj(tp.delta_arrow)
-    dslice_q = SliceObj(tq.delta_arrow)
-    dslice_c = SliceObj(tc.delta_arrow)
-    cpb = pullback(p.p3, q.p1)
-    cpb_index = {(cpb.proj1(e), cpb.proj2(e)): e for e in cpb.apex}
-    c_dpb = dist_pullback(q.p2, cpb.proj2)
-    chain_sq = pullback(compose_fn(cpb.proj1, c_dpb.p), p.p2)
-    assert chain_sq.apex == c.mid_src and c_dpb.Y == c.mid_tgt
-    mid_slice = SliceObj(cpb.proj2)
-    dc_index = {(tc.counit(e), tc.delta_arrow(e)): e for e in tc.C2}
-    pairs = []
-    for e4 in oq.carrier:
-        bq = tq.dpb_r(e4)
-        mid_values = {}
-        for aq in q.p2.fiber(bq):
-            e2 = pi_section_value(q.p2, dslice_q, e4, aq)
-            c4 = tq.counit(e2)
-            mid_values[aq] = cpb_index[(tp.dpb_r(c4), aq)]
-        mid = pi_make_element(q.p2, mid_slice, bq, mid_values)
-        values = {}
-        for e0 in c.p2.fiber(mid):
-            e3 = chain_sq.proj1(e0)
-            ap = chain_sq.proj2(e0)
-            aq = cpb.proj2(c_dpb.p(e3))
-            e2 = pi_section_value(q.p2, dslice_q, e4, aq)
-            c4 = tq.counit(e2)
-            c2elt = pi_section_value(p.p2, dslice_p, c4, ap)
-            values[e0] = dc_index[(tp.counit(c2elt), e0)]
-        pairs.append((e4, pi_make_element(c.p2, dslice_c, mid, values)))
-    return SliceMor(oq, oc, FinFn(oq.carrier, oc.carrier, pairs))
-
-
 def faithful_probes(q: Polynomial) -> tuple[SliceObj, SliceObj]:
     """The two slices that jointly determine a morphism into q."""
-    from .slices import terminal_slice
     return terminal_slice(q.src), SliceObj(q.p1)

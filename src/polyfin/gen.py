@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import NotComposable
 from .finset import (
@@ -88,7 +89,6 @@ def doubled_slice(base: FinSetObj) -> SliceObj:
 
 def probe_slices(base: FinSetObj, max_carrier: int) -> list[SliceObj]:
     """Deterministic probe family: terminal, doubled, and small fresh ones."""
-    from itertools import product
     out = [SliceObj(identity_fn(base)), doubled_slice(base)]
     for k in range(min(max_carrier, 2) + 1):
         carrier = mk_finset([f"pr{k}.{i}" for i in range(k)])

@@ -11,10 +11,10 @@ A function together with its payload's version and nodes is itself a
 function payload.  A polynomial's src, A, B and tgt must equal the sets
 its legs p1, p2 and p3 run between.
 
-A payload without ``"version"`` is read in the older nested form: atoms as
-strings, pairs as 2-element arrays, section tables as arrays of 2-element
-arrays, and maps as ``[argument, value]`` arrays.  Any file that breaks a
-rule of either form raises ParseError.
+Only version 2 is read.  A payload without ``"version"`` (the nested form
+written before node tables) is refused like any other unknown version;
+``encode`` or ``compose`` regenerates it.  Any file that breaks a rule of
+the format raises ParseError.
 """
 
 from __future__ import annotations
@@ -155,39 +155,6 @@ def _array(data: Any, what: str = "a set") -> list:
     return data
 
 
-class _Reader:
-    """Reads sets through the element method of a subclass."""
-
-    def finset(self, data: Any) -> FinSetObj:
-        return FinSetObj(map(self.element, _array(data)))
-
-
-class _NestedReader(_Reader):
-    """Reads elements written out in full (payloads without a version)."""
-
-    def element(self, data: Any) -> Element:
-        if isinstance(data, str):
-            return Atom(data)
-        if not isinstance(data, list):
-            raise ParseError(f"cannot decode element from {data!r}", 0)
-        if len(data) == 2:
-            return Pair(self.element(data[0]), self.element(data[1]))
-        entries = []
-        for item in data:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise ParseError("section entries must be 2-element arrays", 0)
-            entries.append((self.element(item[0]), self.element(item[1])))
-        return Sect(entries)
-
-    def fn(self, data: Any) -> FinFn:
-        dom, cod, pairs = _fn_fields(data)
-        for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ParseError("map entries must be 2-element arrays", 0)
-        return FinFn(self.finset(dom), self.finset(cod),
-                     [(self.element(a), self.element(v)) for a, v in pairs])
-
-
 def _node_id(i: Any, n: int) -> int:
     if type(i) is not int or not 0 <= i < n:
         raise ParseError(f"node id {i!r} is out of range (needs 0 <= id < {n})",
@@ -195,7 +162,7 @@ def _node_id(i: Any, n: int) -> int:
     return i
 
 
-class _NodeReader(_Reader):
+class _Reader:
     """Reads a version-2 payload; elems[i] is the element of node i."""
 
     def __init__(self, nodes: Any) -> None:
@@ -221,6 +188,9 @@ class _NodeReader(_Reader):
     def element(self, data: Any) -> Element:
         return self.elems[_node_id(data, len(self.elems))]
 
+    def finset(self, data: Any) -> FinSetObj:
+        return FinSetObj(map(self.element, _array(data)))
+
     def fn(self, data: Any) -> FinFn:
         dom, cod, positions = _fn_fields(data)
         args = list(map(self.element, _array(dom)))
@@ -236,11 +206,11 @@ class _NodeReader(_Reader):
 def _reader(data: Any) -> _Reader:
     if not isinstance(data, dict):
         raise ParseError("a payload must be an object", 0)
-    if "version" not in data:
-        return _NestedReader()
-    if type(data["version"]) is not int or data["version"] != 2:
-        raise ParseError(f"unknown version {data['version']!r}", 0)
-    return _NodeReader(data.get("nodes"))
+    version = data.get("version")
+    if type(version) is not int or version != 2:
+        raise ParseError(f"unknown version {version!r}: only version 2 is "
+                         "read; regenerate the file with encode or compose", 0)
+    return _Reader(data.get("nodes"))
 
 
 @contextmanager
@@ -256,9 +226,7 @@ def _as_parse_errors() -> Iterator[None]:
 
 def element_from_json(data: Any) -> Element:
     with _as_parse_errors():
-        if isinstance(data, dict):
-            return _reader(data).element(data.get("element"))
-        return _NestedReader().element(data)
+        return _reader(data).element(data.get("element"))
 
 
 def fn_from_json(data: Any) -> FinFn:

@@ -18,14 +18,16 @@ from . import gen, jsonio
 from .errors import PolyfinError
 from .extension import (
     coherence_component,
-    coherence_component_direct,
     eval_mor,
     eval_obj,
     faithful_probes,
     nat_component,
 )
 from .finset import (
+    Atom,
     FinFn,
+    FinSetObj,
+    Pair,
     PullbackSquare,
     check_pullback,
     compose_fn,
@@ -37,30 +39,34 @@ from .poly import (
     CartesianMorphism,
     Leaf,
     Node,
+    Polynomial,
     TerminalTower,
     associator,
     cartesian_homset,
     compose2,
     compose_seq,
     embed_map,
-    extend_left,
+    flatten_bracketing,
     hom_project,
     hom_pullback,
     identity_cartesian,
     identity_poly,
     is_cartesian,
     mediate_into_tower,
+    restrict_last,
     sdc_morphisms,
-    span_compose2,
     terminal_tower,
     unary_sdc,
     vcompose,
     whisker_left,
     whisker_right,
 )
+from .oracles import coherence_component_direct, extend_left, span_compose2
 from .slices import (
     DistPB,
+    SliceMor,
     SliceObj,
+    _all_fns,
     check_dpb_terminal,
     delta,
     delta_component,
@@ -75,7 +81,14 @@ from .slices import (
     slice_pullback,
     terminal_slice,
 )
-from .symbolic import decode, encode, eval_sym, eval_via_extension, substitute
+from .symbolic import (
+    SymPoly,
+    decode,
+    encode,
+    eval_sym,
+    eval_via_extension,
+    substitute,
+)
 
 
 @dataclass
@@ -243,7 +256,6 @@ def _law_cube(rng: random.Random, size: int) -> dict | None:
 
 
 def _law_sections(rng: random.Random, size: int) -> dict | None:
-    from .finset import Atom, FinSetObj, Pair
     b = gen.rand_set(rng, min(size, 2), "sb")
     c = gen.rand_set(rng, min(size, 2), "sc")
     f = gen.rand_fn(rng, b, c)
@@ -265,7 +277,6 @@ def _law_sections(rng: random.Random, size: int) -> dict | None:
     if (u1, u2, u3) != (t1, t2, t3):
         return {"issue": "triple from s3 disagrees",
                 "s3": jsonio.fn_to_json(t3)}
-    from .slices import _all_fns
     count = 0
     for cand2 in _all_fns(b, d.X):
         if not (compose_fn(d.p, cand2) == t1
@@ -307,7 +318,6 @@ def _law_associativity(rng: random.Random, size: int) -> dict | None:
                 "triple": [jsonio.poly_to_json(t) for t in (p, q, r)]}
     seq_comp = compose_seq([p, q, r])
     tower = terminal_tower([p, q, r])
-    from .poly import flatten_bracketing
     flat = flatten_bracketing(Node(Node(Leaf(p), Leaf(q)), Leaf(r)))
     med = mediate_into_tower(tower, flat)
     if not med.is_iso:
@@ -350,7 +360,6 @@ def _law_counits(rng: random.Random, size: int) -> dict | None:
                 "sdc": jsonio.sdc_to_json(sdc)}
     prefix_tower = TerminalTower(tower.seq[:-1], tower.base,
                                  tower.stages[:-1])
-    from .poly import restrict_last
     t_prev = mediate_into_tower(prefix_tower, restrict_last(sdc))
     eps = tower.stages[-1].eps
     for i, (e, t_full) in enumerate(zip(eps, med.ts)):
@@ -509,7 +518,6 @@ def _duplicate_poly_mid(apex, pa, pb):
     Returns the widened polynomial with its (still commuting) projections,
     or None when the apex middle is empty.
     """
-    from .finset import Atom, FinSetObj, Pair
     if len(apex.mid_tgt) == 0:
         return None
     b0 = apex.mid_tgt.elements[0]
@@ -519,7 +527,6 @@ def _duplicate_poly_mid(apex, pa, pb):
                      [(e, b0 if e == extra else e) for e in mid2])
     p2 = FinFn(apex.mid_src, mid2, [(e, apex.p2(e)) for e in apex.mid_src])
     p3 = FinFn(mid2, apex.tgt, [(e, apex.p3(collapse(e))) for e in mid2])
-    from .poly import Polynomial
     poly2 = Polynomial(apex.src, apex.mid_src, mid2, apex.tgt,
                        apex.p1, p2, p3)
     ma = CartesianMorphism(poly2, pa.tgt_poly, pa.f0,
@@ -566,12 +573,10 @@ def _law_functor_laws(rng: random.Random, size: int) -> dict | None:
 
 
 def _slice_identity(x):
-    from .slices import SliceMor
     return SliceMor(x, x, identity_fn(x.carrier))
 
 
 def _slice_compose(h2, h1):
-    from .slices import SliceMor
     return SliceMor(h1.src, h2.tgt, compose_fn(h2.mediating, h1.mediating))
 
 
@@ -687,7 +692,6 @@ def _law_roundtrip(rng: random.Random, size: int) -> dict | None:
 
 
 def _law_substitution(rng: random.Random, size: int) -> dict | None:
-    from .symbolic import SymPoly
     raw_p = gen.rand_sympoly(rng, max_vars=1, max_degree=2, max_monomials=2,
                              n_outputs=1)
     p = SymPoly(("v0",), ("y",), {"y": raw_p.monomials[raw_p.out_vars[0]]})

@@ -2,8 +2,9 @@
 
 A polynomial from X to Y is a diagram X <- A -> B -> Y.  Composition of a
 composable sequence is the associated polynomial of the terminal subdivided
-composite over it, built here by repeatedly extending on the right; the
-left extension is also provided and agrees up to unique isomorphism.
+composite over it, built here by repeatedly extending on the right.  The
+mirror construction, extension on the left, lives in oracles as the
+independent route the laws compare against.
 
 Because chosen pullbacks and distributivity pullbacks are normalized at
 identities, identity polynomials are strict units for this composition,
@@ -276,17 +277,6 @@ def restrict_last(sdc: SubdividedComposite) -> SubdividedComposite:
                                ss=sdc.ss[:-1])
 
 
-def restrict_first(sdc: SubdividedComposite) -> SubdividedComposite:
-    """Forget the first stage, re-aiming q1 at the next boundary."""
-    n = len(sdc.over)
-    if n == 0:
-        raise NotComposable("nothing to restrict")
-    q1 = compose_fn(sdc.over[0].p3, sdc.ss[0])
-    return SubdividedComposite(over=sdc.over[1:], ys=sdc.ys[1:], q1=q1,
-                               q2s=sdc.q2s[1:], q3=sdc.q3, rs=sdc.rs[1:],
-                               ss=sdc.ss[1:])
-
-
 @dataclass(frozen=True)
 class _Stage:
     """Construction data of one right extension, kept for mediation."""
@@ -340,64 +330,6 @@ def _extend_right_stage(pn: Polynomial, sdc: SubdividedComposite) -> _Stage:
         over=sdc.over + (pn,), ys=tuple(ys), q1=compose_fn(sdc.q1, eps[0]),
         q2s=tuple(q2s), q3=compose_fn(pn.p3, dpb.r), rs=tuple(rs), ss=tuple(ss))
     return _Stage(new, csq, dpb, tuple(chain), tuple(eps))
-
-
-def extend_left(sdc: SubdividedComposite, p1: Polynomial
-                ) -> tuple[SubdividedComposite, SdCMorphism]:
-    """Left extension by one polynomial, with its counit morphism.
-
-    The mirror of extend_right: a chain of distributivity pullbacks over
-    the existing stages followed by closing pullbacks.  Used as the
-    independent construction against which right extension is compared.
-    """
-    m = len(sdc.over)
-    n = m + 1
-    if sdc.start_obj != p1.tgt:
-        raise NotComposable("extension polynomial does not end at the start")
-    if m == 0 and sdc.q1 != sdc.q3:
-        raise NotComposable("left extension of an endospan needs q1 = q3")
-    sq0 = pullback(sdc.q1, p1.p3)
-    g0 = sq0.proj2
-    fs = [sq0.proj1]
-    dpbs: list[DistPB] = []
-    for i in range(1, m + 1):
-        d = dist_pullback(sdc.q2s[i - 1], fs[i - 1])
-        dpbs.append(d)
-        fs.append(d.r)
-    ys: list[FinSetObj | None] = [None] * (n + 1)
-    q2s: list[FinFn | None] = [None] * n
-    eps: list[FinFn | None] = [None] * (m + 1)
-    eps[m] = fs[m]
-    if m == 0:
-        ys[1] = sq0.apex
-        s1new = g0
-    else:
-        ys[n] = dpbs[m - 1].Y
-        ys[n - 1] = dpbs[m - 1].X
-        q2s[n - 1] = dpbs[m - 1].q
-        gpp = dpbs[m - 1].p
-        for j in range(n - 1, 1, -1):
-            eps[j - 1] = compose_fn(fs[j - 1], gpp)
-            sq = pullback(gpp, dpbs[j - 2].q)
-            ys[j - 1] = sq.apex
-            q2s[j - 1] = sq.proj1
-            gpp = compose_fn(dpbs[j - 2].p, sq.proj2)
-        s1new = compose_fn(g0, gpp)
-        eps[0] = compose_fn(fs[0], gpp)
-    sqv0 = pullback(s1new, p1.p2)
-    ys[0] = sqv0.apex
-    q2s[0] = sqv0.proj1
-    r1new = sqv0.proj2
-    rs = [r1new]
-    ss = [s1new]
-    for i in range(2, n + 1):
-        rs.append(compose_fn(sdc.rs[i - 2], eps[i - 2]))
-        ss.append(compose_fn(sdc.ss[i - 2], eps[i - 1]))
-    new = SubdividedComposite(
-        over=(p1,) + sdc.over, ys=tuple(ys), q1=compose_fn(p1.p1, r1new),
-        q2s=tuple(q2s), q3=compose_fn(sdc.q3, fs[m]), rs=tuple(rs), ss=tuple(ss))
-    counit = SdCMorphism(restrict_first(new), sdc, tuple(eps))
-    return new, counit
 
 
 @dataclass(frozen=True)
@@ -748,13 +680,3 @@ def _sdc_stages(src: SubdividedComposite, tgt: SubdividedComposite,
         ts.append(FinFn(src.ys[i], tgt.ys[i], idx=values))
         _sdc_stages(src, tgt, admitted, ts, out)
         ts.pop()
-
-
-def span_compose2(q: Polynomial, p: Polynomial) -> Polynomial:
-    """Composite of two spans by the chosen pullback; test oracle."""
-    if not (p.is_span and q.is_span):
-        raise NotComposable("span composition needs spans")
-    if p.tgt != q.src:
-        raise NotComposable("spans are not composable")
-    sq = pullback(p.p3, q.p1)
-    return span_poly(compose_fn(p.p1, sq.proj1), compose_fn(q.p3, sq.proj2))

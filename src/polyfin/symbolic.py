@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import (
     IncompleteAssignment,
+    NotComposable,
     NotNameable,
     ParseError,
 )
 from .extension import EvalTrace, eval_obj
-from .finset import Atom, FinFn, FinSetObj, mk_finset
+from .finset import Atom, FinFn, FinSetObj, Pair, mk_finset
 from .poly import Polynomial, mk_poly
 from .slices import SliceObj
 
@@ -270,7 +272,6 @@ def fiber_slice(p: Polynomial, assignment: dict[str, int]) -> SliceObj:
 
 
 def _numbered(e: Atom, i: int):
-    from .finset import Pair
     return Pair(e, Atom(str(i)))
 
 
@@ -300,9 +301,6 @@ def substitute(q: SymPoly, p: SymPoly) -> SymPoly:
     p's output variable must be q's only input; multiplies out the
     multiset of monomials.  Test oracle for diagram composition.
     """
-    from itertools import product as iproduct
-
-    from .errors import NotComposable
     if len(p.out_vars) != 1 or q.in_vars != p.out_vars:
         raise NotComposable("substitution needs a matching single chain")
     y = p.out_vars[0]
@@ -314,7 +312,7 @@ def substitute(q: SymPoly, p: SymPoly) -> SymPoly:
             k = len(mono)
             if any(v != y for v in mono):
                 raise NotComposable("substitution needs a matching chain")
-            for choice in iproduct(p_monos, repeat=k):
+            for choice in product(p_monos, repeat=k):
                 acc.append(tuple(sorted(v for m in choice for v in m)))
         monomials[o] = tuple(acc)
     return SymPoly(p.in_vars, q.out_vars, monomials)

@@ -5,6 +5,7 @@ lines.  All tolerances are exact; every suite stays well under a minute
 at the pinned sizes.
 """
 
+import hashlib
 import json
 import random
 
@@ -139,11 +140,24 @@ def test_10_substitution_50():
 
 class TestCriterion11MutationSensitivity:
     CFG = InstanceGenConfig(seed=111, max_set_size=3, cases=15)
+    # SHA-256 of each mutant's failures, pinned from a known-good build.
+    # The failures serialize the drawn instances, so a shifted draw changes
+    # a digest; a clean report has no failures and could pin nothing.
+    FAILURE_DIGESTS = {
+        "delta-criterion":
+            "a6018cabdf0ffe13cf70b6432db700a994e1c6836cf9ea0683e1d2e7d8da707e",
+        "units":
+            "b07f323dea830cc54e6456e4524cd4b044c14288a97f9ca0789b665d532626b0",
+        "associativity":
+            "f4de72b767bfdfa6b53cd8ad337ced59aade3d2a692e581ab98911b52cba9b0c",
+    }
 
     def _caught(self, name):
         report = run_law(name, self.CFG)
         assert not report.passed
-        assert json.dumps(report.failures[0])
+        text = json.dumps(report.failures, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.FAILURE_DIGESTS[name]
         return f"caught by {name}"
 
     def test_11a_dropped_section(self, monkeypatch):

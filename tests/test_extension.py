@@ -6,7 +6,6 @@ from polyfin import gen, slices
 from polyfin.errors import NotCartesian, NotComposable
 from polyfin.extension import (
     coherence_component,
-    coherence_component_direct,
     eval_mor,
     eval_obj,
     faithful_probes,
@@ -29,6 +28,7 @@ from polyfin.poly import (
     identity_poly,
     is_cartesian,
 )
+from polyfin.oracles import coherence_component_direct
 from polyfin.slices import SliceMor, slice_homset, terminal_slice
 from polyfin.symbolic import (
     encode,

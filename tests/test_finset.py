@@ -583,6 +583,19 @@ class TestCheckPullback:
         assert sq.commutes()
         assert not check_pullback(sq)
 
+    def test_repeated_pair_with_the_right_count_rejected(self):
+        """As many apex points as matching pairs, but one pair twice and
+        one never: only the distinctness of the pairs rejects it."""
+        a, b, c = mk_finset(["a1", "a2"]), mk_finset(["b"]), mk_finset(["c"])
+        f = constant_fn(a, c, Atom("c"))
+        g = mk_fn(b, c, [(Atom("b"), Atom("c"))])
+        apex = mk_finset(["u", "v"])
+        sq = PullbackSquare(apex, constant_fn(apex, a, Atom("a1")),
+                            constant_fn(apex, b, Atom("b")), f, g)
+        assert sq.commutes()
+        assert len(apex) == pair_set(f, g) == 2
+        assert not check_pullback(sq)
+
     def test_empty_square(self):
         e = mk_finset([])
         f = mk_fn(e, e, [])

@@ -13,7 +13,9 @@ Each must be caught by at least one named law, with a serialized
 counterexample in the report.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,23 @@ CFG = InstanceGenConfig(seed=1234, max_set_size=3, cases=15)
 def test_law_passes_on_clean_build(name):
     report = run_law(name, CFG)
     assert report.passed, report.failures[:1]
+
+
+def test_only_laws_and_the_package_import_oracles():
+    """The reference constructions stay out of the core: no library module
+    but laws and the package's __init__ imports polyfin.oracles."""
+    importers = set()
+    for path in Path(polyfin.laws.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any(n.rsplit(".", 1)[-1] == "oracles" for n in names):
+                importers.add(path.name)
+    assert importers == {"laws.py", "__init__.py"}
 
 
 def test_unknown_law_rejected():

@@ -32,7 +32,6 @@ from polyfin.poly import (
     compose2,
     compose_seq,
     embed_map,
-    extend_left,
     extend_right,
     flatten_bracketing,
     hom_project,
@@ -45,7 +44,6 @@ from polyfin.poly import (
     mk_poly,
     restrict_last,
     sdc_morphisms,
-    span_compose2,
     span_poly,
     terminal_sdc,
     terminal_tower,
@@ -54,6 +52,7 @@ from polyfin.poly import (
     whisker_left,
     whisker_right,
 )
+from polyfin.oracles import extend_left, span_compose2
 from polyfin.slices import sigma
 from polyfin.symbolic import decode, encode, parse_poly
 

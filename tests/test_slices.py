@@ -13,7 +13,6 @@ from polyfin.errors import (
     NotASection,
     NotComposable,
 )
-from polyfin.extension import pi_make_element, pi_section_value
 from polyfin.finset import (
     Atom,
     FinFn,
@@ -28,6 +27,7 @@ from polyfin.finset import (
     paranoid_record,
     pullback,
 )
+from polyfin.oracles import pi_make_element, pi_section_value
 from polyfin.slices import (
     CommutingSquare,
     DistPB,
@@ -277,8 +277,9 @@ class TestNoElementSections:
     @pytest.fixture
     def no_element_sections(self, monkeypatch):
         import polyfin.extension
+        import polyfin.oracles
         import polyfin.slices
-        for module in (polyfin.slices, polyfin.extension):
+        for module in (polyfin.slices, polyfin.extension, polyfin.oracles):
             for name in ("pi_section_value", "pi_make_element"):
                 monkeypatch.setattr(module, name, _raise, raising=False)
         monkeypatch.setattr(Sect, "__getitem__", _raise)
