@@ -134,6 +134,17 @@ def cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than low."""
+    def natural(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return natural
+
+
 def cmd_list_laws(args) -> int:
     _emit({name: desc for name, (desc, _) in LAWS.items()}, args.output)
     return 0
@@ -177,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run law checks with seeded instances")
     chk.add_argument("--law", default="all")
     chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--size", type=int, default=3)
-    chk.add_argument("--cases", type=int, default=50)
+    chk.add_argument("--size", type=_at_least(1), default=3)
+    chk.add_argument("--cases", type=_at_least(0), default=50)
     chk.add_argument("--paranoid", action="store_true",
                      help="re-verify induced maps by exhaustive search")
     chk.add_argument("-o", "--output", default=None)

@@ -45,6 +45,8 @@ class InstanceGenConfig:
     def __post_init__(self):
         if self.max_set_size < 1:
             raise ValueError("max_set_size must be at least 1")
+        if self.cases < 0:
+            raise ValueError("cases must not be negative")
 
 
 _counter = 0

@@ -55,6 +55,7 @@ from .poly import (
     mediate_into_tower,
     restrict_last,
     sdc_morphisms,
+    shared_towers,
     terminal_tower,
     unary_sdc,
     vcompose,
@@ -786,7 +787,8 @@ def run_law(name: str, cfg: InstanceGenConfig) -> LawReport:
     start = time.perf_counter()
     for i in range(cfg.cases):
         try:
-            detail = checker(rng, cfg.max_set_size)
+            with shared_towers():
+                detail = checker(rng, cfg.max_set_size)
         except Exception as exc:
             detail = {"error": type(exc).__name__, "message": str(exc)}
         if detail is not None:

@@ -15,13 +15,23 @@ the right reduce to the one-line formulas without special-casing.
 Comparisons between bracketings are computed structurally: every iterated
 binary composite is flattened to a subdivided composite over the full
 sequence and mediated into the terminal one, never searched for.
+
+Inside shared_towers(), which the law harness opens around each case,
+towers share their stages by value: the stage built over a sequence
+prefix is reused by every later tower whose sequence starts with an
+equal prefix.  The block's memo dies with it.  Composites that towers
+and flattenings build are assembled unchecked and validated once, where
+terminal_tower or flatten_bracketing returns them.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from typing import Iterator
 
 from .errors import IllFormedPolynomial, NotCartesian, NotComposable
 from .finset import (
@@ -220,6 +230,17 @@ class SubdividedComposite:
                 raise NotComposable(f"stage {i} square is not a pullback")
 
 
+def _trusted_sdc(**components) -> SubdividedComposite:
+    """SubdividedComposite the library assembled from its own stages.
+
+    Takes the constructor's keywords but skips __post_init__; whoever
+    returns the composite to a caller validates it.
+    """
+    sdc = object.__new__(SubdividedComposite)
+    sdc.__dict__.update(components)
+    return sdc
+
+
 @dataclass(frozen=True)
 class SdCMorphism:
     """Componentwise map between subdivided composites over one sequence."""
@@ -252,9 +273,13 @@ class SdCMorphism:
 
 def unary_sdc(p: Polynomial) -> SubdividedComposite:
     """The tautological subdivided composite of a single polynomial."""
-    return SubdividedComposite(
-        over=(p,), ys=(p.mid_src, p.mid_tgt), q1=p.p1, q2s=(p.p2,),
-        q3=p.p3, rs=(identity_fn(p.mid_src),), ss=(identity_fn(p.mid_tgt),))
+    return SubdividedComposite(**_unary_components(p))
+
+
+def _unary_components(p: Polynomial) -> dict:
+    return dict(over=(p,), ys=(p.mid_src, p.mid_tgt), q1=p.p1, q2s=(p.p2,),
+                q3=p.p3, rs=(identity_fn(p.mid_src),),
+                ss=(identity_fn(p.mid_tgt),))
 
 
 def identity_endospan(obj: FinSetObj) -> SubdividedComposite:
@@ -297,6 +322,7 @@ def extend_right(pn: Polynomial, sdc: SubdividedComposite
     value of the right adjoint to restriction.
     """
     stage = _extend_right_stage(pn, sdc)
+    stage.sdc.validate()
     counit = SdCMorphism(restrict_last(stage.sdc), sdc, stage.eps)
     return stage.sdc, counit
 
@@ -326,7 +352,7 @@ def _extend_right_stage(pn: Polynomial, sdc: SubdividedComposite) -> _Stage:
     rs.append(compose_fn(csq.proj2, dpb.p))
     ss = [compose_fn(sdc.ss[i], eps[i + 1]) for i in range(n_prev)]
     ss.append(dpb.r)
-    new = SubdividedComposite(
+    new = _trusted_sdc(
         over=sdc.over + (pn,), ys=tuple(ys), q1=compose_fn(sdc.q1, eps[0]),
         q2s=tuple(q2s), q3=compose_fn(pn.p3, dpb.r), rs=tuple(rs), ss=tuple(ss))
     return _Stage(new, csq, dpb, tuple(chain), tuple(eps))
@@ -345,8 +371,41 @@ class TerminalTower:
         return self.stages[-1].sdc if self.stages else self.base
 
 
+@dataclass
+class _TowerMemo:
+    """Stages of one shared_towers() block, keyed by their sequence prefix,
+    and the prefixes whose composite has been validated."""
+
+    stages: dict[tuple[Polynomial, ...], _Stage]
+    validated: set[tuple[Polynomial, ...]]
+
+
+_TOWERS: ContextVar[_TowerMemo | None] = ContextVar("polyfin_towers",
+                                                    default=None)
+
+
+@contextmanager
+def shared_towers() -> Iterator[None]:
+    """Share tower stages by value among the towers built in the block.
+
+    The memo lives only as long as the block; outside one, every tower is
+    built afresh.
+    """
+    token = _TOWERS.set(_TowerMemo({}, set()))
+    try:
+        yield
+    finally:
+        _TOWERS.reset(token)
+
+
 def terminal_tower(seq: list[Polynomial],
                    at: FinSetObj | None = None) -> TerminalTower:
+    """The terminal composite over seq, built one right extension at a time.
+
+    Inside shared_towers() stage k is taken from the block's memo when an
+    equal prefix seq[:k+1] was built before.  The returned composite is
+    validated, once per memo entry.
+    """
     seq = tuple(seq)
     for a, b in zip(seq, seq[1:]):
         if a.tgt != b.src:
@@ -355,11 +414,22 @@ def terminal_tower(seq: list[Polynomial],
         if at is None:
             raise NotComposable("an empty sequence needs a base object")
         return TerminalTower((), identity_endospan(at), ())
+    memo = _TOWERS.get()
     base = identity_endospan(seq[0].src)
     stages: list[_Stage] = []
-    for p in seq:
+    for k, p in enumerate(seq):
         prev = stages[-1].sdc if stages else base
-        stages.append(_extend_right_stage(p, prev))
+        if memo is None:
+            stages.append(_extend_right_stage(p, prev))
+            continue
+        stage = memo.stages.get(seq[:k + 1])
+        if stage is None:
+            stage = memo.stages[seq[:k + 1]] = _extend_right_stage(p, prev)
+        stages.append(stage)
+    if memo is None or seq not in memo.validated:
+        stages[-1].sdc.validate()
+        if memo is not None:
+            memo.validated.add(seq)
     return TerminalTower(seq, base, tuple(stages))
 
 
@@ -446,10 +516,16 @@ def flatten_bracketing(tree: Leaf | Node) -> SubdividedComposite:
     Preserves the outer boundary strictly, so its associated polynomial is
     exactly the iterated binary composite of the tree.
     """
+    sdc = _flatten(tree)
+    sdc.validate()
+    return sdc
+
+
+def _flatten(tree: Leaf | Node) -> SubdividedComposite:
     if isinstance(tree, Leaf):
-        return unary_sdc(tree.poly)
-    a = flatten_bracketing(tree.first)
-    b = flatten_bracketing(tree.second)
+        return _trusted_sdc(**_unary_components(tree.poly))
+    a = _flatten(tree.first)
+    b = _flatten(tree.second)
     ma = associated_polynomial(a)
     mb = associated_polynomial(b)
     outer = terminal_sdc([ma, mb])
@@ -472,9 +548,9 @@ def _flatten_binary(outer: SubdividedComposite, a: SubdividedComposite,
             rs.append(compose_fn(side.rs[i], into_side))
             ss.append(compose_fn(side.ss[i], sq.proj2))
             into_w, into_side = sq.proj1, sq.proj2
-    return SubdividedComposite(over=a.over + b.over, ys=tuple(ys),
-                               q1=outer.q1, q2s=tuple(q2s), q3=outer.q3,
-                               rs=tuple(rs), ss=tuple(ss))
+    return _trusted_sdc(over=a.over + b.over, ys=tuple(ys), q1=outer.q1,
+                        q2s=tuple(q2s), q3=outer.q3, rs=tuple(rs),
+                        ss=tuple(ss))
 
 
 def associator(r: Polynomial, q: Polynomial, p: Polynomial) -> CartesianMorphism:

@@ -415,6 +415,22 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--law", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, low", [("--size", "0", 1),
+                                                  ("--size", "-3", 1),
+                                                  ("--cases", "-1", 0)])
+    def test_bad_size_or_count_exits_2_without_a_report(
+            self, capsys, tmp_path, flag, value, low):
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--law", "units", flag, value, "-o", str(report)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == "" and not report.exists()
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"polyfin check: error: argument {flag}: "
+            f"must be at least {low}, got {value}")
+
     def test_determinism(self, capsys):
         argv = ["check", "--law", "roundtrip", "--seed", "11",
                 "--cases", "25"]

@@ -651,15 +651,41 @@ class TestCheckPullbackIndependence:
         assert sq.commutes()
         assert not check_pullback(sq)
 
-    def test_two_link_composite_fails_validation(self, dropping_pullback):
-        from polyfin.poly import compose_seq
+    @staticmethod
+    def _links():
         from polyfin.symbolic import encode, parse_poly
-        links = [encode(parse_poly("x^2+x", ["x"], ["y"])),
-                 encode(parse_poly("y^2+1", ["y"], ["x"]))]
+        return [encode(parse_poly("x^2+x", ["x"], ["y"])),
+                encode(parse_poly("y^2+1", ["y"], ["x"]))]
+
+    @staticmethod
+    def _fails_validation(build):
         with pytest.raises(NotComposable,
                            match="square is not a pullback") as excinfo:
-            compose_seq(links)
+            build()
         assert excinfo.traceback[-1].name == "validate"
+
+    def test_two_link_composite_fails_validation(self, dropping_pullback):
+        from polyfin.poly import compose_seq
+        self._fails_validation(lambda: compose_seq(self._links()))
+
+    def test_right_extension_fails_validation(self, dropping_pullback):
+        from polyfin.poly import extend_right, terminal_sdc
+        p, q = self._links()
+        first = terminal_sdc([p])
+        self._fails_validation(lambda: extend_right(q, first))
+
+    def test_flattened_two_leaf_tree_fails_validation(self,
+                                                       dropping_pullback):
+        from polyfin.poly import Leaf, Node, flatten_bracketing
+        p, q = self._links()
+        self._fails_validation(
+            lambda: flatten_bracketing(Node(Leaf(p), Leaf(q))))
+
+    def test_shared_tower_fails_validation(self, dropping_pullback):
+        from polyfin.poly import shared_towers, terminal_tower
+        with shared_towers():
+            for _ in range(2):
+                self._fails_validation(lambda: terminal_tower(self._links()))
 
 
 class TestMediate:

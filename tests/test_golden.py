@@ -1,11 +1,14 @@
 """Pinned CLI output: the SHA-256 of bytes that refactors must not change.
 
-The digests were taken from the CLI before dependent-product sections
-were numbered on positions.  A change that alters any of these outputs,
-by a byte, has to say why and re-pin them.
+The eval and compose digests were taken from the CLI before
+dependent-product sections were numbered on positions, and the law report
+digest before terminal towers were shared within a law case.  A change
+that alters any of these outputs, by a byte, has to say why and re-pin
+them.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -24,6 +27,11 @@ EVAL_TRACE_SHA256 = {
 
 COMPOSE_SHA256 = (
     "7a41bb783b79ce047c8d823bfb83dc65f8133f69326a8db748cda0b8af06f031")
+
+# json.dumps(report, sort_keys=True) of check --law all --seed 42 --size 3
+# --cases 10, with every wall_time_s removed.
+LAW_REPORT_SHA256 = (
+    "e67eaba57ce4a260cc992fac232797b034f70abcaee196c5bf1537f44908509e")
 
 
 def _sha256_of_run(path, *argv):
@@ -52,3 +60,15 @@ def test_compose_of_three_links(tmp_path):
                          "-o", links[-1]]) == 0
     digest = _sha256_of_run(tmp_path / "composite.json", "compose", *links)
     assert digest == COMPOSE_SHA256
+
+
+def test_law_report_apart_from_wall_time(tmp_path):
+    path = tmp_path / "report.json"
+    assert cli.main(["check", "--law", "all", "--seed", "42", "--size", "3",
+                     "--cases", "10", "-o", str(path)]) == 0
+    report = json.loads(path.read_text())
+    for entry in report["reports"]:
+        del entry["wall_time_s"]
+    digest = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == LAW_REPORT_SHA256

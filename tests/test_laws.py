@@ -66,6 +66,11 @@ def test_config_requires_positive_size():
         InstanceGenConfig(seed=0, max_set_size=0)
 
 
+def test_config_rejects_a_negative_case_count():
+    with pytest.raises(ValueError, match="cases must not be negative"):
+        InstanceGenConfig(seed=0, cases=-1)
+
+
 def _assert_caught(report):
     assert not report.passed
     payload = json.dumps(report.to_json(), sort_keys=True)

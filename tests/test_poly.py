@@ -1,11 +1,14 @@
 """Polynomial diagrams: construction, composition, comparisons, homs."""
 
 import gc
+from dataclasses import fields
 from itertools import product
 from math import prod
 
 import pytest
 
+import polyfin.laws
+import polyfin.poly
 from polyfin import gen
 from polyfin.errors import IllFormedPolynomial, NotComposable
 from polyfin.finset import (
@@ -44,6 +47,7 @@ from polyfin.poly import (
     mk_poly,
     restrict_last,
     sdc_morphisms,
+    shared_towers,
     span_poly,
     terminal_sdc,
     terminal_tower,
@@ -135,6 +139,92 @@ class TestTerminalSdc:
             assert len(prefix.stages) == len(fresh.stages)
             for kept, rebuilt in zip(prefix.stages, fresh.stages):
                 assert kept == rebuilt
+
+
+def _chain_links():
+    """Three composable links, built afresh on every call."""
+    return [encode(parse_poly(text, [var], [out]))
+            for text, var, out in (("x^2+x", "x", "y"), ("y^2+1", "y", "x"),
+                                   ("x^2+x", "x", "y"))]
+
+
+class TestSharedTowers:
+    """Within shared_towers() tower stages are shared by value; outside it
+    every tower is built afresh, and each returned composite is valid."""
+
+    @pytest.fixture
+    def pullback_calls(self, monkeypatch):
+        calls = []
+        real = polyfin.poly.pullback
+
+        def counting(f, g):
+            calls.append((f, g))
+            return real(f, g)
+
+        monkeypatch.setattr(polyfin.poly, "pullback", counting)
+        return calls
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        seen = []
+        real = SubdividedComposite.validate
+
+        def recording(sdc):
+            seen.append(sdc)
+            real(sdc)
+
+        monkeypatch.setattr(SubdividedComposite, "validate", recording)
+        return seen
+
+    def test_off_outside_a_block(self, pullback_calls):
+        assert polyfin.poly._TOWERS.get() is None
+        first = compose_seq(_chain_links()[:2])
+        after_first = len(pullback_calls)
+        second = compose_seq(_chain_links()[:2])
+        assert first == second
+        assert after_first > 0
+        assert len(pullback_calls) == 2 * after_first
+
+    def test_equal_prefix_reuses_stages(self, pullback_calls):
+        p, q, r = _chain_links()
+        with shared_towers():
+            short = terminal_tower([p, q])
+            before = len(pullback_calls)
+            longer = terminal_tower(_chain_links())
+            again = terminal_tower([p, q, r])
+        assert all(a is b for a, b in zip(short.stages, longer.stages))
+        assert all(a is b for a, b in zip(longer.stages, again.stages))
+        assert len(pullback_calls) > before
+        fresh = terminal_tower([p, q, r])
+        assert all(a is not b for a, b in zip(fresh.stages, longer.stages))
+        for f in fields(SubdividedComposite):
+            assert getattr(longer.sdc, f.name) == getattr(fresh.sdc, f.name)
+
+    def test_every_returned_composite_is_validated(self, validated):
+        p, q, r = _chain_links()
+        with shared_towers():
+            full = terminal_tower([p, q, r])
+            inner = terminal_tower([p, q])
+            terminal_tower([p, q])
+        assert inner.stages[-1] is full.stages[1]
+        for tower in (full, inner):
+            assert sum(v is tower.sdc for v in validated) == 1
+
+    def test_run_law_closes_the_block_when_a_case_raises(self, monkeypatch):
+        active = []
+
+        def raising(rng, size):
+            active.append(polyfin.poly._TOWERS.get())
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(polyfin.laws.LAWS, "units", ("raises", raising))
+        report = polyfin.laws.run_law(
+            "units", gen.InstanceGenConfig(seed=0, cases=2))
+        assert [f["detail"]["error"] for f in report.failures] == [
+            "RuntimeError"] * 2
+        assert len(active) == 2 and None not in active
+        assert active[0] is not active[1]
+        assert polyfin.poly._TOWERS.get() is None
 
 
 class TestExtensions:
