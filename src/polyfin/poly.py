@@ -283,9 +283,12 @@ def _unary_components(p: Polynomial) -> dict:
 
 
 def identity_endospan(obj: FinSetObj) -> SubdividedComposite:
+    return SubdividedComposite(**_identity_components(obj))
+
+
+def _identity_components(obj: FinSetObj) -> dict:
     one = identity_fn(obj)
-    return SubdividedComposite(over=(), ys=(obj,), q1=one, q2s=(),
-                               q3=one, rs=(), ss=())
+    return dict(over=(), ys=(obj,), q1=one, q2s=(), q3=one, rs=(), ss=())
 
 
 def restrict_last(sdc: SubdividedComposite) -> SubdividedComposite:
@@ -415,7 +418,7 @@ def terminal_tower(seq: list[Polynomial],
             raise NotComposable("an empty sequence needs a base object")
         return TerminalTower((), identity_endospan(at), ())
     memo = _TOWERS.get()
-    base = identity_endospan(seq[0].src)
+    base = _trusted_sdc(**_identity_components(seq[0].src))
     stages: list[_Stage] = []
     for k, p in enumerate(seq):
         prev = stages[-1].sdc if stages else base

@@ -8,19 +8,24 @@ natural section triples of a distributivity pullback.
 
 Dependent-product sections are numbered in one place, _Sections: a
 section over b is b's offset plus the mixed-radix number of its choices
-in the fibers.  That numbering gives pi its arrow, decodes a
-distributivity pullback's p, and encodes every section table
+in the fibers.  That numbering gives pi its arrow and the arrow's fibers,
+decodes a distributivity pullback's p, and encodes every section table
 (pi_tabulate), all on position tables, so no caller reads or builds a
-Sect.  pi's carrier and the apexes of chosen pullbacks are lazy, built
-only when their elements are read.  The chosen degenerate shapes make
-the identity laws strict: pulling back along an identity, or taking the
-dependent product along an identity, returns its argument on the nose.
+Sect.  p is written as an odometer: in the chosen apex each point of the
+domain meets every section over its image in numbering order, so its
+values are its fiber's points repeated and cycled, by list repetition
+with no arithmetic per point; an apex laid out any other way is decoded
+by division.  pi's carrier and the apexes of chosen pullbacks are lazy,
+built only when their elements are read.  The chosen degenerate shapes
+make the identity laws strict: pulling back along an identity, or taking
+the dependent product along an identity, returns its argument on the
+nose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import cycle, islice, product
 from operator import mul
 from typing import Callable, Iterable
 
@@ -132,6 +137,14 @@ class _Sections:
     times stride[a], the product of the x-fiber sizes of the later points
     of f's fiber: a mixed radix, first point most significant.  For f an
     identity pi(f, x) is x, and a section is numbered by its one value.
+
+    decode reads any (point, section) pairs by division.  odometer reads
+    the projections of the chosen pullback of pi's arrow along f, where
+    the sections over b = f(a) run in order beside each point a: a's
+    values are its x-fiber with each point repeated stride[a] times, that
+    block cycled until the run ends, as in mixed-radix counting (Knuth,
+    TAOCP 4A, 7.2.1.1, Algorithm M).  Each run is checked against that
+    layout first, and any other apex goes to decode.
     """
 
     def __init__(self, f: FinFn, x: FinFn):
@@ -153,6 +166,33 @@ class _Sections:
                                          self.stride, self.fidx)
         return [xfibers[a][(y - offset[fidx[a]]) // stride[a] % len(xfibers[a])]
                 for a, y in zip(at, ys)]
+
+    def odometer(self, at: tuple[int, ...], ys: tuple[int, ...],
+                 runs: list[list[int]]) -> list[int]:
+        """decode(at, ys), by list repetition where the runs allow it.
+
+        runs are the fiber positions of pi's arrow, which the chosen
+        pullback copies into ys.  They ascend, so a run's length and ends
+        tell whether it is b's sections offset[b], ..., offset[b+1] - 1.
+        """
+        if self.identity:
+            return list(ys)
+        offset, stride, values, s = self.offset, self.stride, [], 0
+        runs = list(map(tuple, runs))
+        for a, (b, xfib) in enumerate(zip(self.fidx, self.xfibers)):
+            lo, hi, run = offset[b], offset[b + 1], runs[b]
+            if len(run) != hi - lo or run and (run[0], run[-1]) != (lo, hi - 1):
+                return self.decode(at, ys)
+            e = s + len(run)
+            if at[s:e] != (a,) * len(run) or ys[s:e] != run:
+                return self.decode(at, ys)
+            if run:
+                block = []
+                for v in xfib:
+                    block += [v] * stride[a]
+                values += islice(cycle(block), len(run))
+            s = e
+        return values if s == len(at) else self.decode(at, ys)
 
     def encode(self, bs: tuple[int, ...],
                values: Callable[[list[int], list[int]], list[int]]
@@ -182,8 +222,8 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
     The carrier over b consists of the section tables of x's fibers across
     f's fiber of b, encoded Pair(b, Sect(...)), in itertools.product order
     of the choices, which is canonical and is _Sections' numbering.  The
-    arrow comes from that numbering; the carrier is lazy.  Degenerate
-    shapes are strict: pi(id, x) = x and pi(f, 1) = 1.
+    arrow and its fibers come from that numbering; the carrier is lazy.
+    Degenerate shapes are strict: pi(id, x) = x and pi(f, 1) = 1.
     """
     if x.base != f.dom:
         raise NotComposable("slice base must be the domain of f")
@@ -191,9 +231,10 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
         return x
     if x.arrow.is_identity:
         return terminal_slice(f.cod)
-    offset, over = _Sections(f, x.arrow).offset, []
-    for b in range(len(f.cod)):
-        over.extend([b] * (offset[b + 1] - offset[b]))
+    offset, over, fibers = _Sections(f, x.arrow).offset, [], []
+    for b, (lo, hi) in enumerate(zip(offset, offset[1:])):
+        over += [b] * (hi - lo)
+        fibers.append(list(range(lo, hi)))
 
     def build() -> list[Element]:
         elems = []
@@ -203,8 +244,9 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
                 elems.append(Pair(b, Sect(zip(fib, combo))))
         return elems
 
-    carrier = lazy_finset(len(over), build)
-    return SliceObj(FinFn(carrier, f.cod, idx=over))
+    arrow = FinFn(lazy_finset(len(over), build), f.cod, idx=over)
+    arrow._fibers = fibers  # the sections over b are numbered consecutively
+    return SliceObj(arrow)
 
 
 def pi_tabulate(f: FinFn, x: SliceObj, base: FinFn,
@@ -270,7 +312,7 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     along f, and p evaluates the section at the fiber point.  Degenerate
     chains are the chosen strict shapes: for f an identity the result is
     (1, 1, g); for g an identity it is (1, f, 1).  p is decoded on
-    positions (_Sections), so neither X nor Y is built.
+    positions (_Sections.odometer), so neither X nor Y is built.
     """
     from .finset import pullback
     if g.cod != f.dom:
@@ -278,7 +320,8 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     yslice = pi(f, SliceObj(g))
     sq = pullback(f, yslice.arrow)
     X, q = sq.apex, sq.proj2
-    p = FinFn(X, g.dom, idx=_Sections(f, g).decode(sq.proj1.idx, q.idx))
+    p = FinFn(X, g.dom, idx=_Sections(f, g).odometer(
+        sq.proj1.idx, q.idx, yslice.arrow.fiber_positions()))
     return DistPB(f, g, X, yslice.carrier, p, q, yslice.arrow)
 
 

@@ -131,6 +131,8 @@ class TestTerminalSdc:
         for _ in range(30):
             seq = gen.rand_composable(rng, rng.randint(1, 3), 2)
             tower = terminal_tower(seq)
+            tower.base.validate()
+            assert tower.base == identity_endospan(seq[0].src)
             prefix = TerminalTower(tower.seq[:-1], tower.base,
                                    tower.stages[:-1])
             fresh = terminal_tower(seq[:-1], at=seq[0].src)

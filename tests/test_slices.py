@@ -206,6 +206,16 @@ class TestLazyPi:
             g.dom._index[pi_section_value(f, SliceObj(g), ys[iy], fdom[ia])]
             for ia, iy in zip(sq.proj1.idx, sq.proj2.idx))
 
+    @given(chains())
+    @settings(max_examples=150, deadline=None)
+    def test_arrow_fibers_are_the_fibers_of_its_table(self, chain):
+        f, g = chain
+        with recorded_builds() as built:
+            arrow = pi(f, SliceObj(g)).arrow
+            fresh = FinFn(arrow.dom, arrow.cod, idx=arrow.idx)
+            assert arrow.fiber_positions() == fresh.fiber_positions()
+        assert built == []
+
 
 class TestSectionNumbering:
     """_Sections numbers pi's sections on positions: encoding a section's
@@ -242,6 +252,69 @@ class TestSectionNumbering:
             assert out.arrow.idx[n] == b
             assert [g.dom._index[pi_section_value(f, x, elems[n], fdom[a])]
                     for a in fibers[b]] == row
+
+    @staticmethod
+    def _spied(f, g):
+        """_Sections(f, g), with the calls to its division decode recorded."""
+        sections, calls = _Sections(f, g), []
+        real = sections.decode
+        sections.decode = lambda at, ys: calls.append(1) or real(at, ys)
+        return sections, calls
+
+    def _odometer_matches_division(self, f, g, data=None):
+        r = pi(f, SliceObj(g)).arrow
+        sq, runs = pullback(f, r), r.fiber_positions()
+        at, ys = sq.proj1.idx, sq.proj2.idx
+        sections, calls = self._spied(f, g)
+        got = sections.odometer(at, ys, runs)
+        assert calls == []
+        assert got == sections.decode(at, ys)
+        if f.is_identity or not at or data is None:
+            return
+        short = FinFn(mk_finset([f"y{i}" for i in range(len(r.idx) - 1)]),
+                      r.cod, idx=r.idx[:-1])
+        sq = pullback(f, short)
+        assert (sections.odometer(sq.proj1.idx, sq.proj2.idx,
+                                  short.fiber_positions())
+                == sections.decode(sq.proj1.idx, sq.proj2.idx))
+        cases = [(at[:-1], ys[:-1]), (at + at[-1:], ys + ys[-1:])]
+        if len(at) > 1:
+            i, j = data.draw(st.lists(st.integers(0, len(at) - 1),
+                                      min_size=2, max_size=2, unique=True))
+            swapped_at, swapped_ys = list(at), list(ys)
+            swapped_at[i], swapped_at[j] = at[j], at[i]
+            swapped_ys[i], swapped_ys[j] = ys[j], ys[i]
+            cases.append((tuple(swapped_at), tuple(swapped_ys)))
+        for other_at, other_ys in cases:
+            calls.clear()
+            got = sections.odometer(other_at, other_ys, runs)
+            assert calls == [1]
+            assert got == sections.decode(other_at, other_ys)
+
+    @given(chains(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_odometer_equals_division(self, chain, data):
+        """On the chosen apex the odometer decodes without dividing.  With
+        the apex's last point dropped or repeated, or two points swapped,
+        it falls back; so it does on pi's arrow less its last section."""
+        self._odometer_matches_division(*chain, data)
+
+    @pytest.mark.parametrize("shape", ["empty f-fiber", "empty x-fiber",
+                                       "f identity", "g identity"])
+    def test_odometer_on_degenerate_shapes(self, shape):
+        a, b = mk_finset(["a1", "a2", "a3"]), mk_finset(["b1", "b2", "b3"])
+        z = mk_finset(["z1", "z2", "z3", "z4"])
+        f = mk_fn(a, b, [(Atom("a1"), Atom("b1")), (Atom("a2"), Atom("b1")),
+                         (Atom("a3"), Atom("b2"))])
+        g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
+                         (Atom("z3"), Atom("a2")),
+                         (Atom("z4"), Atom("a3" if shape != "empty x-fiber"
+                                           else "a1"))])
+        if shape == "f identity":
+            f = identity_fn(a)
+        if shape == "g identity":
+            g = identity_fn(a)
+        self._odometer_matches_division(f, g)
 
     def test_value_outside_its_fiber_is_rejected(self):
         a, b = mk_finset(["a1", "a2"]), mk_finset(["b"])
