@@ -488,8 +488,10 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
     """The unique map into a pullback apex induced by a commuting cone.
 
     t1 and t2 share a domain T, land in proj1.cod and proj2.cod, and
-    satisfy leg1 o t1 = leg2 o t2.  Under paranoid_checks the uniqueness
-    is re-verified by scanning the whole apex per point.
+    satisfy leg1 o t1 = leg2 o t2.  An apex with two points over one pair
+    of projections is refused, as is a pair with no point over it.  Under
+    paranoid_checks the uniqueness is re-verified by scanning the whole
+    apex per point.
     """
     if t1.dom != t2.dom:
         raise NotComposable("cone legs must share a domain")
@@ -497,6 +499,8 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
         raise NotComposable("cone legs do not match the pullback projections")
     p1, p2 = _square_positions(sq)
     index = {pair: e for e, pair in enumerate(zip(p1, p2))}
+    if len(index) != len(p1):
+        raise NotASquare("square lacks the pullback property")
     l1, l2 = sq.leg1.idx, sq.leg2.idx
     positions = []
     for target in zip(t1.idx, t2.idx):

@@ -1,9 +1,10 @@
 """Seeded random generators for sets, maps, slices, polynomials and friends.
 
-Everything is driven by a caller-supplied random.Random so the law harness
-is reproducible: one seed determines every generated instance.  Sizes stay
-tiny on purpose; all the laws checked here are only tractable on small
-carriers.
+Everything is driven by a caller-supplied Draws, a random.Random that
+also counts the sets drawn from it, so the law harness is reproducible:
+one seed determines every generated instance and every set name, and
+no state outlives the stream.  Sizes stay tiny on purpose; all the laws
+checked here are only tractable on small carriers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .poly import (
     Polynomial,
     SubdividedComposite,
     cartesian_homset,
-    mk_poly,
 )
 from .slices import DistPB, SliceObj, dist_pullback
 from .symbolic import SymPoly
@@ -49,37 +49,39 @@ class InstanceGenConfig:
             raise ValueError("cases must not be negative")
 
 
-_counter = 0
+class Draws(random.Random):
+    """A seeded random stream that also numbers the sets drawn from it.
+
+    fresh_set names the k-th set of a stream after k, so one seed gives
+    one sequence of names, and two streams never share a counter.
+    """
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.sets = 0
 
 
-def reset_counter() -> None:
-    """Restart the fresh-name counter; keeps reports reproducible."""
-    global _counter
-    _counter = 0
+def fresh_set(rng: Draws, size: int, tag: str = "e") -> FinSetObj:
+    rng.sets += 1
+    return mk_finset([f"{tag}{rng.sets}.{i}" for i in range(size)])
 
 
-def fresh_set(rng: random.Random, size: int, tag: str = "e") -> FinSetObj:
-    global _counter
-    _counter += 1
-    return mk_finset([f"{tag}{_counter}.{i}" for i in range(size)])
-
-
-def rand_set(rng: random.Random, max_size: int, tag: str = "e",
+def rand_set(rng: Draws, max_size: int, tag: str = "e",
              min_size: int = 1) -> FinSetObj:
     return fresh_set(rng, rng.randint(min_size, max_size), tag)
 
 
-def rand_fn(rng: random.Random, dom: FinSetObj, cod: FinSetObj) -> FinFn:
+def rand_fn(rng: Draws, dom: FinSetObj, cod: FinSetObj) -> FinFn:
     if len(cod) == 0 and len(dom) > 0:
         raise NotComposable("no function into an empty set")
     return FinFn(dom, cod, [(e, rng.choice(cod.elements)) for e in dom])
 
 
-def rand_slice(rng: random.Random, base: FinSetObj, max_carrier: int,
-               min_carrier: int = 0, tag: str = "c") -> SliceObj:
+def rand_slice(rng: Draws, base: FinSetObj, max_carrier: int,
+               tag: str = "c") -> SliceObj:
     if len(base) == 0:
-        max_carrier, min_carrier = 0, 0
-    carrier = rand_set(rng, max_carrier, tag, min_size=min_carrier)
+        max_carrier = 0
+    carrier = rand_set(rng, max_carrier, tag, min_size=0)
     return SliceObj(rand_fn(rng, carrier, base))
 
 
@@ -100,7 +102,7 @@ def probe_slices(base: FinSetObj, max_carrier: int) -> list[SliceObj]:
     return out
 
 
-def rand_poly(rng: random.Random, max_size: int,
+def rand_poly(rng: Draws, max_size: int,
               src: FinSetObj | None = None,
               tgt: FinSetObj | None = None) -> Polynomial:
     src = src if src is not None else rand_set(rng, max_size, "x")
@@ -110,20 +112,21 @@ def rand_poly(rng: random.Random, max_size: int,
     if len(mid_src) == 0:
         mid_src = fresh_set(rng, 0, "a")
     p2 = rand_fn(rng, mid_src, mid_tgt)
-    return mk_poly(rand_fn(rng, mid_src, src), p2, rand_fn(rng, mid_tgt, tgt))
+    return Polynomial(rand_fn(rng, mid_src, src), p2,
+                      rand_fn(rng, mid_tgt, tgt))
 
 
-def rand_span(rng: random.Random, max_size: int,
+def rand_span(rng: Draws, max_size: int,
               src: FinSetObj | None = None,
               tgt: FinSetObj | None = None) -> Polynomial:
     src = src if src is not None else rand_set(rng, max_size, "x")
     tgt = tgt if tgt is not None else rand_set(rng, max_size, "y")
     apex = rand_set(rng, max_size, "a", min_size=0)
-    return Polynomial(src, apex, apex, tgt, rand_fn(rng, apex, src),
-                      identity_fn(apex), rand_fn(rng, apex, tgt))
+    return Polynomial(rand_fn(rng, apex, src), identity_fn(apex),
+                      rand_fn(rng, apex, tgt))
 
 
-def rand_composable(rng: random.Random, count: int,
+def rand_composable(rng: Draws, count: int,
                     max_size: int) -> list[Polynomial]:
     polys = []
     obj = rand_set(rng, max_size, "x")
@@ -134,7 +137,7 @@ def rand_composable(rng: random.Random, count: int,
     return polys
 
 
-def rand_cartesian_into(rng: random.Random, q: Polynomial,
+def rand_cartesian_into(rng: Draws, q: Polynomial,
                         max_size: int) -> CartesianMorphism:
     """A random cartesian morphism with target q, built by pulling back."""
     if len(q.mid_tgt) == 0:
@@ -143,16 +146,15 @@ def rand_cartesian_into(rng: random.Random, q: Polynomial,
         mid_tgt = rand_set(rng, max_size, "nb")
     f1 = rand_fn(rng, mid_tgt, q.mid_tgt)
     sq = pullback(q.p2, f1)
-    p = Polynomial(q.src, sq.apex, mid_tgt, q.tgt,
-                   compose_fn(q.p1, sq.proj1), sq.proj2,
-                   compose_fn(q.p3, f1))
+    p = Polynomial(compose_fn(q.p1, sq.proj1), sq.proj2, compose_fn(q.p3, f1))
     return CartesianMorphism(p, q, sq.proj1, f1)
 
 
-def rand_parallel_pair(rng: random.Random, max_size: int, tries: int = 20
+def rand_parallel_pair(rng: Draws, max_size: int
                        ) -> tuple[CartesianMorphism, CartesianMorphism] | None:
-    """Two distinct cartesian morphisms between one pair of polynomials."""
-    for _ in range(tries):
+    """Two distinct cartesian morphisms between one pair of polynomials,
+    or None after 20 draws without one."""
+    for _ in range(20):
         q = rand_poly(rng, max_size)
         p = rand_cartesian_into(rng, q, max_size).src_poly
         homset = cartesian_homset(p, q)
@@ -162,7 +164,7 @@ def rand_parallel_pair(rng: random.Random, max_size: int, tries: int = 20
     return None
 
 
-def duplicate_dpb(d: DistPB, rng: random.Random) -> DistPB | None:
+def duplicate_dpb(d: DistPB, rng: Draws) -> DistPB | None:
     """A non-terminal pullback-around: one product point duplicated."""
     if len(d.Y) == 0:
         return None
@@ -179,7 +181,7 @@ def duplicate_dpb(d: DistPB, rng: random.Random) -> DistPB | None:
                   FinFn(x2, d.p.cod, p2), FinFn(x2, y2, q2), r2)
 
 
-def shrink_dpb(d: DistPB, rng: random.Random) -> DistPB | None:
+def shrink_dpb(d: DistPB, rng: Draws) -> DistPB | None:
     """A non-terminal pullback-around: one product point dropped."""
     if len(d.Y) <= 1:
         return None
@@ -193,7 +195,7 @@ def shrink_dpb(d: DistPB, rng: random.Random) -> DistPB | None:
                   FinFn(y2, d.r.cod, [(y, d.r(y)) for y in y2]))
 
 
-def rand_dpb(rng: random.Random, max_size: int) -> DistPB:
+def rand_dpb(rng: Draws, max_size: int) -> DistPB:
     a = rand_set(rng, max_size, "a")
     b = rand_set(rng, max_size, "b")
     z = rand_set(rng, max_size, "z", min_size=0)
@@ -202,20 +204,20 @@ def rand_dpb(rng: random.Random, max_size: int) -> DistPB:
     return dist_pullback(f, g)
 
 
-def rand_sdc(rng: random.Random, seq: list[Polynomial],
-             max_size: int, tries: int = 10) -> SubdividedComposite:
+def rand_sdc(rng: Draws, seq: list[Polynomial],
+             max_size: int) -> SubdividedComposite:
     """A random valid subdivided composite over seq, built right to left.
 
     The last object and its map into the final stage are free; every
     earlier stage is forced to be a pullback, then q1 is whatever the
-    axioms dictate.  If a stage admits no lift the attempt is retried,
-    falling back to the empty carrier, which always works.
+    axioms dictate.  If a stage admits no lift the attempt is retried, up
+    to ten times, then the empty carrier is used, which always works.
     """
     n = len(seq)
     if n == 0:
         raise NotComposable("need a nonempty sequence")
-    for attempt in range(tries + 1):
-        size = 0 if attempt == tries else rng.randint(0, max_size)
+    for attempt in range(11):
+        size = 0 if attempt == 10 else rng.randint(0, max_size)
         y_last = fresh_set(rng, size, "ry")
         if len(seq[-1].mid_tgt) == 0 and size > 0:
             continue
@@ -228,9 +230,8 @@ def rand_sdc(rng: random.Random, seq: list[Polynomial],
     raise NotComposable("could not build a subdivided composite")
 
 
-def _build_sdc(rng: random.Random, seq: list[Polynomial], y_last: FinSetObj,
+def _build_sdc(rng: Draws, seq: list[Polynomial], y_last: FinSetObj,
                s_cur: FinFn) -> SubdividedComposite | None:
-    ys = [y_last]
     q2s: list[FinFn] = []
     rs: list[FinFn] = []
     ss: list[FinFn] = [s_cur]
@@ -238,7 +239,6 @@ def _build_sdc(rng: random.Random, seq: list[Polynomial], y_last: FinSetObj,
     for i in range(n - 1, -1, -1):
         p = seq[i]
         sq = pullback(ss[0], p.p2)
-        ys.insert(0, sq.apex)
         q2s.insert(0, sq.proj1)
         rs.insert(0, sq.proj2)
         if i > 0:
@@ -255,14 +255,15 @@ def _build_sdc(rng: random.Random, seq: list[Polynomial], y_last: FinSetObj,
                                 for e, c in zip(sq.apex.elements, choices)]))
     q1 = compose_fn(seq[0].p1, rs[0])
     q3 = compose_fn(seq[-1].p3, ss[-1])
-    return SubdividedComposite(over=tuple(seq), ys=tuple(ys), q1=q1,
-                               q2s=tuple(q2s), q3=q3, rs=tuple(rs),
-                               ss=tuple(ss))
+    return SubdividedComposite(over=tuple(seq), q1=q1, q2s=tuple(q2s), q3=q3,
+                               rs=tuple(rs), ss=tuple(ss))
 
 
-def rand_sympoly(rng: random.Random, max_vars: int = 3, max_degree: int = 3,
-                 max_monomials: int = 3, max_coeff: int = 2,
+def rand_sympoly(rng: Draws, max_vars: int = 3, max_degree: int = 3,
+                 max_monomials: int = 3,
                  n_outputs: int | None = None) -> SymPoly:
+    """Up to max_monomials monomials per output, each repeated once or
+    twice."""
     nv = rng.randint(1, max_vars)
     in_vars = tuple(f"v{i}" for i in range(nv))
     n_out = n_outputs if n_outputs is not None else rng.randint(1, 2)
@@ -273,12 +274,12 @@ def rand_sympoly(rng: random.Random, max_vars: int = 3, max_degree: int = 3,
         for _ in range(rng.randint(0, max_monomials)):
             deg = rng.randint(0, max_degree)
             mono = tuple(sorted(rng.choice(in_vars) for _ in range(deg)))
-            for _ in range(rng.randint(1, max_coeff)):
+            for _ in range(rng.randint(1, 2)):
                 monos.append(mono)
         monomials[o] = tuple(monos)
     return SymPoly(in_vars, out_vars, monomials)
 
 
-def rand_assignment(rng: random.Random, s: SymPoly,
-                    max_value: int = 4) -> dict[str, int]:
-    return {v: rng.randint(0, max_value) for v in s.in_vars}
+def rand_assignment(rng: Draws, s: SymPoly) -> dict[str, int]:
+    """A value from 0 to 4 for every input variable."""
+    return {v: rng.randint(0, 4) for v in s.in_vars}

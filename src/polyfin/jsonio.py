@@ -30,7 +30,7 @@ from .errors import (
 )
 from .extension import EvalTrace
 from .finset import Atom, Element, FinFn, FinSetObj, Pair, Sect
-from .poly import CartesianMorphism, Polynomial, SubdividedComposite, mk_poly
+from .poly import CartesianMorphism, Polynomial, SubdividedComposite
 from .slices import DistPB
 
 
@@ -240,7 +240,7 @@ def poly_from_json(data: Any) -> Polynomial:
         missing = {"src", "A", "B", "tgt", "p1", "p2", "p3"} - set(data)
         if missing:
             raise ParseError(f"polynomial is missing {sorted(missing)}", 0)
-        p = mk_poly(r.fn(data["p1"]), r.fn(data["p2"]), r.fn(data["p3"]))
+        p = Polynomial(r.fn(data["p1"]), r.fn(data["p2"]), r.fn(data["p3"]))
         for name, leg, legs in (("src", "p1.cod", p.src),
                                 ("A", "p1.dom", p.mid_src),
                                 ("B", "p2.cod", p.mid_tgt),

@@ -9,7 +9,6 @@ report.  Identical seed and configuration give identical reports.
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass, field
 from math import prod
@@ -115,10 +114,10 @@ def _homset_size(x, y) -> int:
     return prod(len(yfibers[j]) for j in x.arrow.idx)
 
 
-def _adjunction_instance(rng: random.Random, size: int, tries: int = 12):
+def _adjunction_instance(rng: gen.Draws, size: int):
     """Instance with enumerable hom-sets; rejection keeps it tractable."""
-    for attempt in range(tries):
-        cap = size if attempt < tries - 1 else 2
+    for attempt in range(12):
+        cap = size if attempt < 11 else 2
         a = gen.rand_set(rng, cap, "a")
         b = gen.rand_set(rng, cap, "b")
         f = gen.rand_fn(rng, a, b)
@@ -132,7 +131,7 @@ def _adjunction_instance(rng: random.Random, size: int, tries: int = 12):
     raise PolyfinError("could not draw a tractable adjunction instance")
 
 
-def _law_adjunctions(rng: random.Random, size: int) -> dict | None:
+def _law_adjunctions(rng: gen.Draws, size: int) -> dict | None:
     f, x, y = _adjunction_instance(rng, size)
     lhs = slice_homset(sigma(f, x), y)
     rhs = slice_homset(x, delta(f, y)[0])
@@ -155,7 +154,7 @@ def _law_adjunctions(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_delta_criterion(rng: random.Random, size: int) -> dict | None:
+def _law_delta_criterion(rng: gen.Draws, size: int) -> dict | None:
     d = gen.rand_dpb(rng, size)
     kind = rng.choice(["genuine", "genuine", "duplicate", "shrink"])
     if kind == "duplicate":
@@ -178,9 +177,9 @@ def _law_delta_criterion(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _comp_cancel_instance(rng: random.Random, size: int, tries: int = 10):
-    for attempt in range(tries):
-        cap = size if attempt < tries - 1 else 2
+def _comp_cancel_instance(rng: gen.Draws, size: int):
+    for attempt in range(10):
+        cap = size if attempt < 9 else 2
         x = gen.rand_set(rng, cap, "x")
         y = gen.rand_set(rng, cap, "y")
         z = gen.rand_set(rng, cap, "z")
@@ -197,7 +196,7 @@ def _comp_cancel_instance(rng: random.Random, size: int, tries: int = 10):
     raise PolyfinError("could not draw a tractable pasting instance")
 
 
-def _law_comp_cancel(rng: random.Random, size: int) -> dict | None:
+def _law_comp_cancel(rng: gen.Draws, size: int) -> dict | None:
     f, g, h, d1 = _comp_cancel_instance(rng, size)
     right = dist_pullback(g, d1.r)
     if rng.random() < 0.5:
@@ -215,9 +214,9 @@ def _law_comp_cancel(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _cube_instance(rng: random.Random, size: int, tries: int = 10):
-    for attempt in range(tries):
-        cap = size if attempt < tries - 1 else 2
+def _cube_instance(rng: gen.Draws, size: int):
+    for attempt in range(10):
+        cap = size if attempt < 9 else 2
         b2 = gen.rand_set(rng, cap, "b2")
         d2 = gen.rand_set(rng, cap, "d2")
         c2 = gen.rand_set(rng, cap, "c2")
@@ -233,7 +232,7 @@ def _cube_instance(rng: random.Random, size: int, tries: int = 10):
     raise PolyfinError("could not draw a tractable cube instance")
 
 
-def _law_cube(rng: random.Random, size: int) -> dict | None:
+def _law_cube(rng: gen.Draws, size: int) -> dict | None:
     inner, mid, g2, k2, d4 = _cube_instance(rng, size)
     f2, h2 = inner.proj1, inner.proj2
     d2v, h3 = mid.proj1, mid.proj2
@@ -256,7 +255,7 @@ def _law_cube(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_sections(rng: random.Random, size: int) -> dict | None:
+def _law_sections(rng: gen.Draws, size: int) -> dict | None:
     b = gen.rand_set(rng, min(size, 2), "sb")
     c = gen.rand_set(rng, min(size, 2), "sc")
     f = gen.rand_fn(rng, b, c)
@@ -293,7 +292,7 @@ def _law_sections(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_units(rng: random.Random, size: int) -> dict | None:
+def _law_units(rng: gen.Draws, size: int) -> dict | None:
     p = gen.rand_poly(rng, size)
     left = compose2(identity_poly(p.tgt), p)
     right = compose2(p, identity_poly(p.src))
@@ -308,7 +307,7 @@ def _law_units(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_associativity(rng: random.Random, size: int) -> dict | None:
+def _law_associativity(rng: gen.Draws, size: int) -> dict | None:
     p, q, r = gen.rand_composable(rng, 3, min(size, 2))
     a = associator(r, q, p)
     if not is_cartesian(a):
@@ -329,7 +328,7 @@ def _law_associativity(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_pentagon(rng: random.Random, size: int) -> dict | None:
+def _law_pentagon(rng: gen.Draws, size: int) -> dict | None:
     p, q, r, s = gen.rand_composable(rng, 4, min(size, 2))
     e1 = whisker_left(s, associator(r, q, p))
     e2 = associator(s, compose2(r, q), p)
@@ -344,7 +343,7 @@ def _law_pentagon(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_counits(rng: random.Random, size: int) -> dict | None:
+def _law_counits(rng: gen.Draws, size: int) -> dict | None:
     k = rng.randint(1, 2)
     seq = gen.rand_composable(rng, k, min(size, 2))
     tower = terminal_tower(seq)
@@ -379,7 +378,7 @@ def _law_counits(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_spans(rng: random.Random, size: int) -> dict | None:
+def _law_spans(rng: gen.Draws, size: int) -> dict | None:
     k = rng.randint(2, 3)
     spans = []
     obj = gen.rand_set(rng, size, "x")
@@ -397,7 +396,7 @@ def _law_spans(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_lft_rgt(rng: random.Random, size: int) -> dict | None:
+def _law_lft_rgt(rng: gen.Draws, size: int) -> dict | None:
     x = gen.rand_set(rng, size, "x")
     y = gen.rand_set(rng, size, "y")
     f = gen.rand_fn(rng, x, y)
@@ -435,7 +434,7 @@ def _law_lft_rgt(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_projections(rng: random.Random, size: int) -> dict | None:
+def _law_projections(rng: gen.Draws, size: int) -> dict | None:
     p = gen.rand_poly(rng, size)
     w = gen.rand_set(rng, size, "w")
     z = gen.rand_set(rng, size, "z")
@@ -459,14 +458,14 @@ def _law_projections(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _cospan(rng: random.Random, size: int):
+def _cospan(rng: gen.Draws, size: int):
     t = gen.rand_poly(rng, size)
     a = gen.rand_cartesian_into(rng, t, size)
     b = gen.rand_cartesian_into(rng, t, size)
     return t, a, b
 
 
-def _law_hom_pullback(rng: random.Random, size: int) -> dict | None:
+def _law_hom_pullback(rng: gen.Draws, size: int) -> dict | None:
     t, a, b = _cospan(rng, min(size, 2))
     pa, pb = hom_pullback(a, b)
     if pa.src_poly != pb.src_poly:
@@ -528,8 +527,7 @@ def _duplicate_poly_mid(apex, pa, pb):
                      [(e, b0 if e == extra else e) for e in mid2])
     p2 = FinFn(apex.mid_src, mid2, [(e, apex.p2(e)) for e in apex.mid_src])
     p3 = FinFn(mid2, apex.tgt, [(e, apex.p3(collapse(e))) for e in mid2])
-    poly2 = Polynomial(apex.src, apex.mid_src, mid2, apex.tgt,
-                       apex.p1, p2, p3)
+    poly2 = Polynomial(apex.p1, p2, p3)
     ma = CartesianMorphism(poly2, pa.tgt_poly, pa.f0,
                            compose_fn(pa.f1, collapse))
     mb = CartesianMorphism(poly2, pb.tgt_poly, pb.f0,
@@ -537,7 +535,7 @@ def _duplicate_poly_mid(apex, pa, pb):
     return poly2, ma, mb
 
 
-def _law_functor_laws(rng: random.Random, size: int) -> dict | None:
+def _law_functor_laws(rng: gen.Draws, size: int) -> dict | None:
     p = gen.rand_poly(rng, size)
     x = gen.rand_slice(rng, p.src, size)
     ident = eval_mor(p, _slice_identity(x))
@@ -581,7 +579,7 @@ def _slice_compose(h2, h1):
     return SliceMor(h1.src, h2.tgt, compose_fn(h2.mediating, h1.mediating))
 
 
-def _law_coherence(rng: random.Random, size: int) -> dict | None:
+def _law_coherence(rng: gen.Draws, size: int) -> dict | None:
     p = gen.rand_poly(rng, min(size, 2))
     q = gen.rand_poly(rng, min(size, 2), src=p.tgt)
     x = gen.rand_slice(rng, p.src, min(size, 2))
@@ -618,7 +616,7 @@ def _law_coherence(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_cartesian_image(rng: random.Random, size: int) -> dict | None:
+def _law_cartesian_image(rng: gen.Draws, size: int) -> dict | None:
     q = gen.rand_poly(rng, min(size, 2))
     m = gen.rand_cartesian_into(rng, q, min(size, 2))
     p = m.src_poly
@@ -644,7 +642,7 @@ def _law_cartesian_image(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_faithful(rng: random.Random, size: int) -> dict | None:
+def _law_faithful(rng: gen.Draws, size: int) -> dict | None:
     pair = gen.rand_parallel_pair(rng, min(size, 2))
     if pair is None:
         return None
@@ -661,7 +659,7 @@ def _law_faithful(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_conservative(rng: random.Random, size: int) -> dict | None:
+def _law_conservative(rng: gen.Draws, size: int) -> dict | None:
     q = gen.rand_poly(rng, min(size, 2))
     m = gen.rand_cartesian_into(rng, q, min(size, 2))
     one, q1_slice = faithful_probes(q)
@@ -673,7 +671,7 @@ def _law_conservative(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_oracle_agreement(rng: random.Random, size: int) -> dict | None:
+def _law_oracle_agreement(rng: gen.Draws, size: int) -> dict | None:
     s = gen.rand_sympoly(rng)
     a = gen.rand_assignment(rng, s)
     expected = eval_sym(s, a)
@@ -684,7 +682,7 @@ def _law_oracle_agreement(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_roundtrip(rng: random.Random, size: int) -> dict | None:
+def _law_roundtrip(rng: gen.Draws, size: int) -> dict | None:
     s = gen.rand_sympoly(rng)
     back = decode(encode(s))
     if back.monomials != s.monomials or set(back.out_vars) != set(s.out_vars):
@@ -692,7 +690,7 @@ def _law_roundtrip(rng: random.Random, size: int) -> dict | None:
     return None
 
 
-def _law_substitution(rng: random.Random, size: int) -> dict | None:
+def _law_substitution(rng: gen.Draws, size: int) -> dict | None:
     raw_p = gen.rand_sympoly(rng, max_vars=1, max_degree=2, max_monomials=2,
                              n_outputs=1)
     p = SymPoly(("v0",), ("y",), {"y": raw_p.monomials[raw_p.out_vars[0]]})
@@ -781,8 +779,7 @@ def run_law(name: str, cfg: InstanceGenConfig) -> LawReport:
     if name not in LAWS:
         raise KeyError(f"unknown law {name!r}")
     _, checker = LAWS[name]
-    gen.reset_counter()
-    rng = random.Random(f"{cfg.seed}:{name}")
+    rng = gen.Draws(f"{cfg.seed}:{name}")
     report = LawReport(law=name, cases=cfg.cases)
     start = time.perf_counter()
     for i in range(cfg.cases):

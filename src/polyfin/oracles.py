@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import NotComposable
 from .extension import eval_obj
-from .finset import Element, FinFn, FinSetObj, Pair, Sect, compose_fn
+from .finset import Element, FinFn, Pair, Sect, compose_fn
 from .poly import (
     Polynomial,
     SdCMorphism,
@@ -41,9 +41,8 @@ def restrict_first(sdc: SubdividedComposite) -> SubdividedComposite:
     if n == 0:
         raise NotComposable("nothing to restrict")
     q1 = compose_fn(sdc.over[0].p3, sdc.ss[0])
-    return SubdividedComposite(over=sdc.over[1:], ys=sdc.ys[1:], q1=q1,
-                               q2s=sdc.q2s[1:], q3=sdc.q3, rs=sdc.rs[1:],
-                               ss=sdc.ss[1:])
+    return SubdividedComposite(over=sdc.over[1:], q1=q1, q2s=sdc.q2s[1:],
+                               q3=sdc.q3, rs=sdc.rs[1:], ss=sdc.ss[1:])
 
 
 def extend_left(sdc: SubdividedComposite, p1: Polynomial
@@ -57,7 +56,7 @@ def extend_left(sdc: SubdividedComposite, p1: Polynomial
     from .finset import pullback
     m = len(sdc.over)
     n = m + 1
-    if sdc.start_obj != p1.tgt:
+    if sdc.q1.cod != p1.tgt:
         raise NotComposable("extension polynomial does not end at the start")
     if m == 0 and sdc.q1 != sdc.q3:
         raise NotComposable("left extension of an endospan needs q1 = q3")
@@ -69,28 +68,22 @@ def extend_left(sdc: SubdividedComposite, p1: Polynomial
         d = dist_pullback(sdc.q2s[i - 1], fs[i - 1])
         dpbs.append(d)
         fs.append(d.r)
-    ys: list[FinSetObj | None] = [None] * (n + 1)
     q2s: list[FinFn | None] = [None] * n
     eps: list[FinFn | None] = [None] * (m + 1)
     eps[m] = fs[m]
     if m == 0:
-        ys[1] = sq0.apex
         s1new = g0
     else:
-        ys[n] = dpbs[m - 1].Y
-        ys[n - 1] = dpbs[m - 1].X
         q2s[n - 1] = dpbs[m - 1].q
         gpp = dpbs[m - 1].p
         for j in range(n - 1, 1, -1):
             eps[j - 1] = compose_fn(fs[j - 1], gpp)
             sq = pullback(gpp, dpbs[j - 2].q)
-            ys[j - 1] = sq.apex
             q2s[j - 1] = sq.proj1
             gpp = compose_fn(dpbs[j - 2].p, sq.proj2)
         s1new = compose_fn(g0, gpp)
         eps[0] = compose_fn(fs[0], gpp)
     sqv0 = pullback(s1new, p1.p2)
-    ys[0] = sqv0.apex
     q2s[0] = sqv0.proj1
     r1new = sqv0.proj2
     rs = [r1new]
@@ -99,7 +92,7 @@ def extend_left(sdc: SubdividedComposite, p1: Polynomial
         rs.append(compose_fn(sdc.rs[i - 2], eps[i - 2]))
         ss.append(compose_fn(sdc.ss[i - 2], eps[i - 1]))
     new = SubdividedComposite(
-        over=(p1,) + sdc.over, ys=tuple(ys), q1=compose_fn(p1.p1, r1new),
+        over=(p1,) + sdc.over, q1=compose_fn(p1.p1, r1new),
         q2s=tuple(q2s), q3=compose_fn(sdc.q3, fs[m]), rs=tuple(rs), ss=tuple(ss))
     counit = SdCMorphism(restrict_first(new), sdc, tuple(eps))
     return new, counit

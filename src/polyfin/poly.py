@@ -1,7 +1,10 @@
 """Polynomial diagrams over finite sets and their bicategorical composition.
 
-A polynomial from X to Y is a diagram X <- A -> B -> Y.  Composition of a
-composable sequence is the associated polynomial of the terminal subdivided
+A polynomial from X to Y is a diagram X <- A -> B -> Y.  A polynomial
+stores only its three maps, and a subdivided composite only its maps:
+their objects are the ends of those maps, so no construction assembles
+them and no check compares a stored copy.  Composition of a composable
+sequence is the associated polynomial of the terminal subdivided
 composite over it, built here by repeatedly extending on the right.  The
 mirror construction, extension on the left, lives in oracles as the
 independent route the laws compare against.
@@ -29,8 +32,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import IllFormedPolynomial, NotCartesian, NotComposable
@@ -54,15 +58,26 @@ from .slices import (
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Bridge diagram src <-p1- mid_src -p2-> mid_tgt -p3-> tgt."""
+    """Bridge diagram src <-p1- mid_src -p2-> mid_tgt -p3-> tgt.
 
-    src: FinSetObj
-    mid_src: FinSetObj
-    mid_tgt: FinSetObj
-    tgt: FinSetObj
+    Only the three legs are stored; the four objects are their ends.
+    Building one checks that the legs meet.
+    """
+
     p1: FinFn
     p2: FinFn
     p3: FinFn
+
+    def __post_init__(self):
+        if self.p1.dom != self.p2.dom:
+            raise IllFormedPolynomial("p1 and p2 must share a domain")
+        if self.p2.cod != self.p3.dom:
+            raise IllFormedPolynomial("p2 must land in the domain of p3")
+
+    src = property(attrgetter("p1.cod"))
+    mid_src = property(attrgetter("p1.dom"))
+    mid_tgt = property(attrgetter("p2.cod"))
+    tgt = property(attrgetter("p3.cod"))
 
     @property
     def is_span(self) -> bool:
@@ -73,18 +88,13 @@ class Polynomial:
         return self.p1.is_identity and self.p2.is_identity and self.p3.is_identity
 
 
-def mk_poly(p1: FinFn, p2: FinFn, p3: FinFn) -> Polynomial:
-    """Validated polynomial from its three legs."""
-    if p1.dom != p2.dom:
-        raise IllFormedPolynomial("p1 and p2 must share a domain")
-    if p2.cod != p3.dom:
-        raise IllFormedPolynomial("p2 must land in the domain of p3")
-    return Polynomial(p1.cod, p1.dom, p2.cod, p3.cod, p1, p2, p3)
+# Callers outside the package import the constructor by this name too.
+mk_poly = Polynomial
 
 
 def identity_poly(obj: FinSetObj) -> Polynomial:
     one = identity_fn(obj)
-    return Polynomial(obj, obj, obj, obj, one, one, one)
+    return Polynomial(one, one, one)
 
 
 def embed_map(f: FinFn, side: str) -> Polynomial:
@@ -94,9 +104,9 @@ def embed_map(f: FinFn, side: str) -> Polynomial:
     """
     one = identity_fn(f.dom)
     if side == "left":
-        return Polynomial(f.dom, f.dom, f.dom, f.cod, one, one, f)
+        return Polynomial(one, one, f)
     if side == "right":
-        return Polynomial(f.cod, f.dom, f.dom, f.dom, f, one, one)
+        return Polynomial(f, one, one)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -104,8 +114,7 @@ def span_poly(left: FinFn, right: FinFn) -> Polynomial:
     """The span with apex left.dom = right.dom and identity middle."""
     if left.dom != right.dom:
         raise IllFormedPolynomial("span legs must share an apex")
-    return Polynomial(left.cod, left.dom, right.dom, right.cod,
-                      left, identity_fn(left.dom), right)
+    return Polynomial(left, identity_fn(left.dom), right)
 
 
 @dataclass(frozen=True)
@@ -120,10 +129,6 @@ class CartesianMorphism:
     tgt_poly: Polynomial
     f0: FinFn
     f1: FinFn
-
-    def middle_square(self) -> PullbackSquare:
-        return PullbackSquare(self.src_poly.mid_src, self.src_poly.p2,
-                              self.f0, self.f1, self.tgt_poly.p2)
 
     @property
     def is_iso(self) -> bool:
@@ -147,7 +152,7 @@ def is_cartesian(m: CartesianMorphism) -> bool:
         return False
     if compose_fn(q.p2, m.f0) != compose_fn(m.f1, p.p2):
         return False
-    return check_pullback(m.middle_square())
+    return check_pullback(PullbackSquare(p.mid_src, p.p2, m.f0, m.f1, q.p2))
 
 
 def identity_cartesian(p: Polynomial) -> CartesianMorphism:
@@ -164,16 +169,17 @@ def vcompose(m2: CartesianMorphism, m1: CartesianMorphism) -> CartesianMorphism:
 
 @dataclass(frozen=True)
 class SubdividedComposite:
-    """Staged composite data (Y, q, r, s) over a composable sequence.
+    """Staged composite data (q, r, s) over a composable sequence.
 
-    ys has one more entry than over; q1 : ys[0] -> src, q3 : ys[n] -> tgt,
-    q2s[i] : ys[i] -> ys[i+1]; rs[i] : ys[i] -> over[i].mid_src and
-    ss[i] : ys[i+1] -> over[i].mid_tgt.  Each square (q2s[i], ss[i],
-    over[i].p2, rs[i]) is a pullback; adjacent stages commute.
+    Only the maps are stored.  The objects ys, one more than over, are the
+    domains of the rs followed by the domain of q3.  q1 : ys[0] -> src,
+    q3 : ys[n] -> tgt, q2s[i] : ys[i] -> ys[i+1]; rs[i] : ys[i] ->
+    over[i].mid_src and ss[i] : ys[i+1] -> over[i].mid_tgt.  Each square
+    (q2s[i], ss[i], over[i].p2, rs[i]) is a pullback; adjacent stages
+    commute.
     """
 
     over: tuple[Polynomial, ...]
-    ys: tuple[FinSetObj, ...]
     q1: FinFn
     q2s: tuple[FinFn, ...]
     q3: FinFn
@@ -183,23 +189,18 @@ class SubdividedComposite:
     def __post_init__(self):
         self.validate()
 
-    @property
-    def start_obj(self) -> FinSetObj:
-        return self.q1.cod
-
-    @property
-    def end_obj(self) -> FinSetObj:
-        return self.q3.cod
+    @cached_property
+    def ys(self) -> tuple[FinSetObj, ...]:
+        return tuple(r.dom for r in self.rs) + (self.q3.dom,)
 
     def validate(self) -> None:
         n = len(self.over)
-        if not (len(self.ys) == n + 1 and len(self.q2s) == n
-                and len(self.rs) == n and len(self.ss) == n):
+        if not (len(self.q2s) == n and len(self.rs) == n and len(self.ss) == n):
             raise NotComposable("component counts do not match the sequence")
         for a, b in zip(self.over, self.over[1:]):
             if a.tgt != b.src:
                 raise NotComposable("underlying sequence is not composable")
-        if self.q1.dom != self.ys[0] or self.q3.dom != self.ys[-1]:
+        if self.q1.dom != self.ys[0]:
             raise NotComposable("q1/q3 must start at the end objects")
         if n == 0:
             if self.q1.cod != self.q3.cod:
@@ -210,7 +211,7 @@ class SubdividedComposite:
         for i, p in enumerate(self.over):
             if self.q2s[i].dom != self.ys[i] or self.q2s[i].cod != self.ys[i + 1]:
                 raise NotComposable(f"q2s[{i}] boundaries are wrong")
-            if self.rs[i].dom != self.ys[i] or self.rs[i].cod != p.mid_src:
+            if self.rs[i].cod != p.mid_src:
                 raise NotComposable(f"rs[{i}] boundaries are wrong")
             if self.ss[i].dom != self.ys[i + 1] or self.ss[i].cod != p.mid_tgt:
                 raise NotComposable(f"ss[{i}] boundaries are wrong")
@@ -277,9 +278,8 @@ def unary_sdc(p: Polynomial) -> SubdividedComposite:
 
 
 def _unary_components(p: Polynomial) -> dict:
-    return dict(over=(p,), ys=(p.mid_src, p.mid_tgt), q1=p.p1, q2s=(p.p2,),
-                q3=p.p3, rs=(identity_fn(p.mid_src),),
-                ss=(identity_fn(p.mid_tgt),))
+    return dict(over=(p,), q1=p.p1, q2s=(p.p2,), q3=p.p3,
+                rs=(identity_fn(p.mid_src),), ss=(identity_fn(p.mid_tgt),))
 
 
 def identity_endospan(obj: FinSetObj) -> SubdividedComposite:
@@ -288,7 +288,7 @@ def identity_endospan(obj: FinSetObj) -> SubdividedComposite:
 
 def _identity_components(obj: FinSetObj) -> dict:
     one = identity_fn(obj)
-    return dict(over=(), ys=(obj,), q1=one, q2s=(), q3=one, rs=(), ss=())
+    return dict(over=(), q1=one, q2s=(), q3=one, rs=(), ss=())
 
 
 def restrict_last(sdc: SubdividedComposite) -> SubdividedComposite:
@@ -300,9 +300,8 @@ def restrict_last(sdc: SubdividedComposite) -> SubdividedComposite:
         q3 = compose_fn(sdc.over[0].p1, sdc.rs[0])
     else:
         q3 = compose_fn(sdc.over[-2].p3, sdc.ss[-2])
-    return SubdividedComposite(over=sdc.over[:-1], ys=sdc.ys[:-1], q1=sdc.q1,
-                               q2s=sdc.q2s[:-1], q3=q3, rs=sdc.rs[:-1],
-                               ss=sdc.ss[:-1])
+    return SubdividedComposite(over=sdc.over[:-1], q1=sdc.q1, q2s=sdc.q2s[:-1],
+                               q3=q3, rs=sdc.rs[:-1], ss=sdc.ss[:-1])
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def extend_right(pn: Polynomial, sdc: SubdividedComposite
 
 def _extend_right_stage(pn: Polynomial, sdc: SubdividedComposite) -> _Stage:
     n_prev = len(sdc.over)
-    if sdc.end_obj != pn.src:
+    if sdc.q3.cod != pn.src:
         raise NotComposable("extension polynomial does not start at the end")
     if n_prev == 0 and sdc.q1 != sdc.q3:
         raise NotComposable("right extension of an endospan needs q1 = q3")
@@ -340,15 +339,12 @@ def _extend_right_stage(pn: Polynomial, sdc: SubdividedComposite) -> _Stage:
     dpb = dist_pullback(pn.p2, csq.proj2)
     eps: list[FinFn | None] = [None] * (n_prev + 1)
     eps[n_prev] = compose_fn(csq.proj1, dpb.p)
-    ys: list[FinSetObj | None] = [None] * (n_prev + 2)
-    ys[n_prev], ys[n_prev + 1] = dpb.X, dpb.Y
     q2s: list[FinFn | None] = [None] * (n_prev + 1)
     q2s[n_prev] = dpb.q
     chain: list[PullbackSquare | None] = [None] * max(n_prev, 0)
     for i in range(n_prev - 1, -1, -1):
         sq = pullback(eps[i + 1], sdc.q2s[i])
         chain[i] = sq
-        ys[i] = sq.apex
         q2s[i] = sq.proj1
         eps[i] = sq.proj2
     rs = [compose_fn(sdc.rs[i], eps[i]) for i in range(n_prev)]
@@ -356,7 +352,7 @@ def _extend_right_stage(pn: Polynomial, sdc: SubdividedComposite) -> _Stage:
     ss = [compose_fn(sdc.ss[i], eps[i + 1]) for i in range(n_prev)]
     ss.append(dpb.r)
     new = _trusted_sdc(
-        over=sdc.over + (pn,), ys=tuple(ys), q1=compose_fn(sdc.q1, eps[0]),
+        over=sdc.over + (pn,), q1=compose_fn(sdc.q1, eps[0]),
         q2s=tuple(q2s), q3=compose_fn(pn.p3, dpb.r), rs=tuple(rs), ss=tuple(ss))
     return _Stage(new, csq, dpb, tuple(chain), tuple(eps))
 
@@ -478,7 +474,7 @@ def _chain_from(sdc: SubdividedComposite, i: int) -> FinFn:
 
 def associated_polynomial(sdc: SubdividedComposite) -> Polynomial:
     """Outer boundary (q1, composite of the q2s, q3) of a composite."""
-    return mk_poly(sdc.q1, _chain_from(sdc, 0), sdc.q3)
+    return Polynomial(sdc.q1, _chain_from(sdc, 0), sdc.q3)
 
 
 def compose_seq(seq: list[Polynomial],
@@ -537,7 +533,6 @@ def _flatten(tree: Leaf | Node) -> SubdividedComposite:
 
 def _flatten_binary(outer: SubdividedComposite, a: SubdividedComposite,
                     b: SubdividedComposite) -> SubdividedComposite:
-    ys: list[FinSetObj] = [outer.ys[0]]
     q2s: list[FinFn] = []
     rs: list[FinFn] = []
     ss: list[FinFn] = []
@@ -547,13 +542,11 @@ def _flatten_binary(outer: SubdividedComposite, a: SubdividedComposite,
             sq = pullback(leg, _chain_from(side, i + 1))
             q2s.append(mediate(sq, into_w,
                                compose_fn(side.q2s[i], into_side)))
-            ys.append(sq.apex)
             rs.append(compose_fn(side.rs[i], into_side))
             ss.append(compose_fn(side.ss[i], sq.proj2))
             into_w, into_side = sq.proj1, sq.proj2
-    return _trusted_sdc(over=a.over + b.over, ys=tuple(ys), q1=outer.q1,
-                        q2s=tuple(q2s), q3=outer.q3, rs=tuple(rs),
-                        ss=tuple(ss))
+    return _trusted_sdc(over=a.over + b.over, q1=outer.q1, q2s=tuple(q2s),
+                        q3=outer.q3, rs=tuple(rs), ss=tuple(ss))
 
 
 def associator(r: Polynomial, q: Polynomial, p: Polynomial) -> CartesianMorphism:
@@ -598,7 +591,7 @@ def hcompose2(g: CartesianMorphism, f: CartesianMorphism) -> CartesianMorphism:
     g.validate()
     s = terminal_sdc([p, q])
     relabeled = SubdividedComposite(
-        over=(p2, q2), ys=s.ys, q1=s.q1, q2s=s.q2s, q3=s.q3,
+        over=(p2, q2), q1=s.q1, q2s=s.q2s, q3=s.q3,
         rs=(compose_fn(f.f0, s.rs[0]), compose_fn(g.f0, s.rs[1])),
         ss=(compose_fn(f.f1, s.ss[0]), compose_fn(g.f1, s.ss[1])))
     tower = terminal_tower([p2, q2])
@@ -642,8 +635,7 @@ def hom_pullback(a: CartesianMorphism, b: CartesianMorphism
     sq0 = pullback(a.f0, b.f0)
     sq1 = pullback(a.f1, b.f1)
     s2 = mediate(sq1, compose_fn(p.p2, sq0.proj1), compose_fn(q.p2, sq0.proj2))
-    apex = Polynomial(p.src, sq0.apex, sq1.apex, p.tgt,
-                      compose_fn(p.p1, sq0.proj1), s2,
+    apex = Polynomial(compose_fn(p.p1, sq0.proj1), s2,
                       compose_fn(p.p3, sq1.proj1))
     return (CartesianMorphism(apex, p, sq0.proj1, sq1.proj1),
             CartesianMorphism(apex, q, sq0.proj2, sq1.proj2))

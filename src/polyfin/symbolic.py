@@ -11,6 +11,7 @@ empty monomial and everything stays a multiset.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .extension import EvalTrace, eval_obj
 from .finset import Atom, FinFn, FinSetObj, Pair, mk_finset
-from .poly import Polynomial, mk_poly
+from .poly import Polynomial
 from .slices import SliceObj
 
 Monomial = tuple[str, ...]
@@ -115,7 +116,7 @@ def parse_poly(text: str, in_vars: list[str] | None = None,
     Each term is an optional leading natural coefficient followed by
     factors var or var^k, with '*' optional between factors.  A bare
     natural n stands for n copies of the empty monomial; 0 annihilates
-    its term.
+    its term.  Input and output names must not repeat.
     """
     tokens = _tokenize(text)
     outputs: list[list[Monomial]] = []
@@ -178,6 +179,10 @@ def parse_poly(text: str, in_vars: list[str] | None = None,
         raise ParseError("output name count does not match the expression", 0)
     if in_vars is None:
         in_vars = seen_vars
+    for kind, names in (("input", in_vars), ("output", out_names)):
+        repeated = [v for i, v in enumerate(names) if v in names[:i]]
+        if repeated:
+            raise ParseError(f"{kind} name {repeated[0]!r} is repeated", 0)
     missing = [v for v in seen_vars if v not in in_vars]
     if missing:
         raise ParseError(f"variable {missing[0]!r} not among the inputs", 0)
@@ -213,8 +218,8 @@ def encode(s: SymPoly) -> Polynomial:
                 p2_pairs.append((Atom(utok), Atom(mtok)))
     msum = mk_finset(msum_tokens)
     uvar = mk_finset(uvar_tokens)
-    return mk_poly(FinFn(uvar, src, p1_pairs), FinFn(uvar, msum, p2_pairs),
-                   FinFn(msum, tgt, p3_pairs))
+    return Polynomial(FinFn(uvar, src, p1_pairs), FinFn(uvar, msum, p2_pairs),
+                      FinFn(msum, tgt, p3_pairs))
 
 
 def decode(p: Polynomial) -> SymPoly:
@@ -264,15 +269,11 @@ def fiber_slice(p: Polynomial, assignment: dict[str, int]) -> SliceObj:
     pairs = []
     for e in p.src:
         for i in range(assignment[e.token]):
-            pt = _numbered(e, i)
+            pt = Pair(e, Atom(str(i)))
             elems.append(pt)
             pairs.append((pt, e))
     carrier = FinSetObj(elems)
     return SliceObj(FinFn(carrier, p.src, pairs))
-
-
-def _numbered(e: Atom, i: int):
-    return Pair(e, Atom(str(i)))
 
 
 def eval_via_extension(p: Polynomial, assignment: dict[str, int]) -> dict[str, int]:
@@ -286,13 +287,14 @@ def eval_via_extension(p: Polynomial, assignment: dict[str, int]) -> dict[str, i
 
 def eval_with_trace(p: Polynomial, assignment: dict[str, int]
                     ) -> tuple[dict[str, int], EvalTrace]:
-    """eval_via_extension's counts, read off fiber positions, and the trace."""
+    """eval_via_extension's counts, tallied on the output arrow's table,
+    and the trace."""
     for e in p.tgt:
         if not isinstance(e, Atom):
             raise NotNameable(f"target element {e!r} is not an atom")
     out, trace = eval_obj(p, fiber_slice(p, assignment))
-    fibers = out.arrow.fiber_positions()
-    return {e.token: len(fib) for e, fib in zip(p.tgt, fibers)}, trace
+    sizes = Counter(out.arrow.idx)
+    return {e.token: sizes[j] for j, e in enumerate(p.tgt)}, trace
 
 
 def substitute(q: SymPoly, p: SymPoly) -> SymPoly:

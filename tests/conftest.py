@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from polyfin import gen
@@ -7,10 +5,4 @@ from polyfin import gen
 
 @pytest.fixture
 def rng():
-    return random.Random(20240817)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_names():
-    gen.reset_counter()
-    yield
+    return gen.Draws(20240817)

@@ -7,8 +7,6 @@ at the pinned sizes.
 
 import hashlib
 import json
-import random
-
 
 import polyfin.extension
 import polyfin.laws
@@ -61,8 +59,7 @@ def test_03_adjunction_suites_100():
 
 
 def test_04_terminality_criterion_100():
-    rng = random.Random("acceptance-4")
-    gen.reset_counter()
+    rng = gen.Draws("acceptance-4")
     non_terminal = 0
     failures = 0
     for _ in range(100):

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import io
 import json
 import re
 import sys
@@ -44,6 +45,14 @@ class TestEncode:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("argv", [("x", "--in", "x,x"),
+                                      ("x ; x", "--out", "y,y")])
+    def test_repeated_name_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "encode", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error") and "Traceback" not in err
+        assert "is repeated" in err
+
 
 class TestDecode:
     def test_roundtrip(self, capsys, tmp_path):
@@ -59,6 +68,13 @@ class TestDecode:
         bad.write_text("{")
         code, _, _ = run(capsys, "decode", str(bad))
         assert code == 2
+
+    def test_reads_stdin(self, capsys, monkeypatch):
+        _, text, _ = run(capsys, "encode", EXPR, "--in", "w,x,y,z")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "decode", "-")
+        assert code == 0
+        assert json.loads(out)["text"] == "2 + x^3*y ; 3*x^2*z + y"
 
 
 # "x^2 + x" --in x as written before payloads carried a version.
@@ -345,6 +361,19 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(f1), "--assign", "y=1")
         assert code == 4
         assert "evaluation error" in err
+
+    @pytest.mark.parametrize("assign, says", [
+        ("x", "bad assignment entry"),
+        ("x=two", "not a natural number"),
+        ("x=-1", "must not be negative")])
+    def test_malformed_assignment_exits_4(self, capsys, tmp_path, assign,
+                                          says):
+        f1 = tmp_path / "p.json"
+        run(capsys, "encode", "x", "--in", "x", "-o", str(f1))
+        code, out, err = run(capsys, "eval", str(f1), "--assign", assign)
+        assert code == 4 and out == ""
+        assert err.startswith("evaluation error") and says in err
+        assert "Traceback" not in err
 
     def test_non_atom_target_exits_4(self, capsys, tmp_path):
         from polyfin.finset import Atom, FinFn, FinSetObj, Pair, mk_finset

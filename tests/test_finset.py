@@ -726,6 +726,19 @@ class TestMediate:
             mediate(sq, constant_fn(t, a, Atom("a")),
                     constant_fn(t, b, Atom("b")))
 
+    def test_apex_repeating_a_pair_rejected(self):
+        a, b, c = mk_finset(["a"]), mk_finset(["b"]), mk_finset(["c"])
+        f = constant_fn(a, c, Atom("c"))
+        g = constant_fn(b, c, Atom("c"))
+        apex = mk_finset(["p", "q"])
+        sq = PullbackSquare(apex, constant_fn(apex, a, Atom("a")),
+                            constant_fn(apex, b, Atom("b")), f, g)
+        assert not check_pullback(sq)
+        t = mk_finset(["t"])
+        with pytest.raises(NotASquare, match="lacks the pullback property"):
+            mediate(sq, constant_fn(t, a, Atom("a")),
+                    constant_fn(t, b, Atom("b")))
+
 
 class TestPullbackPasting:
     """Two squares side by side: the front is a pullback iff the paste is."""

@@ -5,7 +5,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyfin import jsonio
+from polyfin import gen, jsonio
 from polyfin.cli import main
 from polyfin.extension import eval_obj
 from polyfin.finset import Atom, Pair, Sect
@@ -127,3 +127,44 @@ def test_readme_composite_and_eval_trace_read_back_equal(capsys, tmp_path):
     for name, arrow in arrows.items():
         fn = {"version": 2, "nodes": trace["nodes"], **trace[name]}
         assert jsonio.fn_from_json(fn) == arrow, name
+
+
+def _fn_back(data, fn):
+    """A function of a payload, read through fn_from_json."""
+    return jsonio.fn_from_json({"version": 2, "nodes": data["nodes"], **fn})
+
+
+def _legs_back(data, poly):
+    return tuple(_fn_back(data, poly[leg]) for leg in ("p1", "p2", "p3"))
+
+
+def test_cartesian_morphism_reads_back_equal(rng):
+    for _ in range(20):
+        m = gen.rand_cartesian_into(rng, gen.rand_poly(rng, 3), 3)
+        data = _through_text(jsonio.cartesian_to_json(m))
+        assert _legs_back(data, data["p"]) == (m.src_poly.p1, m.src_poly.p2,
+                                               m.src_poly.p3)
+        assert _legs_back(data, data["q"]) == (m.tgt_poly.p1, m.tgt_poly.p2,
+                                               m.tgt_poly.p3)
+        assert _fn_back(data, data["f0"]) == m.f0
+        assert _fn_back(data, data["f1"]) == m.f1
+
+
+def test_subdivided_composite_reads_back_equal(rng):
+    nonempty = 0
+    for k in (1, 2, 3, 1, 2, 3):
+        sdc = gen.rand_sdc(rng, gen.rand_composable(rng, k, 2), 2)
+        nonempty += any(len(y) for y in sdc.ys)
+        data = _through_text(jsonio.sdc_to_json(sdc))
+        assert [_legs_back(data, p) for p in data["over"]] == [
+            (p.p1, p.p2, p.p3) for p in sdc.over]
+        # Each object, read back as the domain of its identity map.
+        assert [_fn_back(data, {"dom": y, "cod": y,
+                                "map": list(range(len(y)))}).dom
+                for y in data["Ys"]] == list(sdc.ys)
+        for name in ("q1", "q3"):
+            assert _fn_back(data, data[name]) == getattr(sdc, name)
+        for name in ("q2s", "rs", "ss"):
+            assert tuple(_fn_back(data, f) for f in data[name]) == getattr(
+                sdc, name)
+    assert nonempty >= 2

@@ -24,6 +24,7 @@ import polyfin.finset
 import polyfin.laws
 import polyfin.poly
 import polyfin.slices
+from polyfin import gen
 from polyfin.finset import FinFn, FinSetObj, Pair
 from polyfin.gen import InstanceGenConfig
 from polyfin.laws import LAWS, run_law
@@ -54,6 +55,23 @@ def test_only_laws_and_the_package_import_oracles():
             if any(n.rsplit(".", 1)[-1] == "oracles" for n in names):
                 importers.add(path.name)
     assert importers == {"laws.py", "__init__.py"}
+
+
+def test_no_module_rebinds_a_global():
+    """The package keeps no module-level mutable state: no global
+    statement, and the law harness numbers its sets on its draw stream."""
+    for path in Path(polyfin.laws.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(n, ast.Global) for n in ast.walk(tree)), \
+            path.name
+    assert not hasattr(gen, "reset_counter")
+
+
+def test_each_draw_stream_numbers_its_own_sets():
+    a, b = gen.Draws(7), gen.Draws(7)
+    first = gen.fresh_set(a, 2)
+    assert gen.fresh_set(a, 2) != first
+    assert gen.fresh_set(b, 2) == first
 
 
 def test_unknown_law_rejected():

@@ -25,6 +25,7 @@ from polyfin.poly import (
     CartesianMorphism,
     Leaf,
     Node,
+    Polynomial,
     SdCMorphism,
     SubdividedComposite,
     TerminalTower,
@@ -77,8 +78,19 @@ class TestMkPoly:
 
     def test_boundary_mismatch(self):
         a, b = mk_finset(["a"]), mk_finset(["b"])
-        with pytest.raises(IllFormedPolynomial):
+        with pytest.raises(IllFormedPolynomial, match="share a domain"):
             mk_poly(identity_fn(a), identity_fn(b), identity_fn(b))
+        with pytest.raises(IllFormedPolynomial, match="domain of p3"):
+            Polynomial(identity_fn(a), identity_fn(a), identity_fn(b))
+
+    def test_only_the_maps_are_stored(self, rng):
+        assert [f.name for f in fields(Polynomial)] == ["p1", "p2", "p3"]
+        assert "ys" not in {f.name for f in fields(SubdividedComposite)}
+        p, q = gen.rand_composable(rng, 2, 3)
+        sdc = terminal_sdc([p, q])
+        assert sdc.ys == (sdc.q1.dom, sdc.q2s[0].cod, sdc.q3.dom)
+        assert (p.src, p.mid_src, p.mid_tgt, p.tgt) == (
+            p.p1.cod, p.p2.dom, p.p3.dom, p.p3.cod)
 
 
 class TestEmbedMap:
@@ -282,8 +294,8 @@ class TestMediateIntoTower:
     def test_empty_sequence_needs_q1_equal_to_q3(self):
         x = mk_finset(["a", "b"])
         swap = mk_fn(x, x, [(Atom("a"), Atom("b")), (Atom("b"), Atom("a"))])
-        sdc = SubdividedComposite(over=(), ys=(x,), q1=identity_fn(x), q2s=(),
-                                  q3=swap, rs=(), ss=())
+        sdc = SubdividedComposite(over=(), q1=identity_fn(x), q2s=(), q3=swap,
+                                  rs=(), ss=())
         with pytest.raises(NotComposable,
                            match="no morphism into the identity endospan"):
             mediate_into_tower(terminal_tower([], at=x), sdc)

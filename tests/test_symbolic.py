@@ -119,8 +119,7 @@ class TestDecode:
         from polyfin.poly import Polynomial
         pair_set = FinSetObj([Pair(Atom("a"), Atom("b"))])
         one = FinFn(pair_set, pair_set, [(e, e) for e in pair_set])
-        bad = Polynomial(pair_set, pair_set, pair_set, pair_set,
-                         one, one, one)
+        bad = Polynomial(one, one, one)
         with pytest.raises(NotNameable):
             decode(bad)
 
