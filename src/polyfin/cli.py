@@ -84,18 +84,21 @@ def _parse_assignment(text: str) -> dict[str, int]:
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not (eq and key):
             raise IncompleteAssignment(f"bad assignment entry {item!r}")
-        key, _, value = item.partition("=")
+        if key in out:
+            raise IncompleteAssignment(f"{key!r} is assigned twice")
         try:
             parsed = int(value)
         except ValueError:
             raise IncompleteAssignment(
-                f"value for {key.strip()!r} is not a natural number") from None
+                f"value for {key!r} is not a natural number") from None
         if parsed < 0:
             raise IncompleteAssignment(
-                f"value for {key.strip()!r} must not be negative")
-        out[key.strip()] = parsed
+                f"value for {key!r} must not be negative")
+        out[key] = parsed
     return out
 
 

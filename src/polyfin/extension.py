@@ -2,10 +2,11 @@
 
 A polynomial X <- A -> B -> Y acts on a slice over X by pulling back along
 p1, taking the dependent product along p2 (realized as a distributivity
-pullback so the staging is retained), and post-composing with p3.  The
-action on slice morphisms, the component family of a cartesian morphism,
-and the comparison between iterated and composite evaluation are all
-computed by the same mediation machinery as composition itself.
+pullback so the staging is retained), and post-composing with p3; its
+trace keeps the pullback square and the distributivity pullback as built.
+The action on slice morphisms, the component family of a cartesian
+morphism, and the comparison between iterated and composite evaluation
+are all computed by the same mediation machinery as composition itself.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCartesian, NotComposable
-from .finset import FinFn, FinSetObj, PullbackSquare, compose_fn, mediate
+from .finset import FinFn, PullbackSquare, compose_fn, mediate
 from .poly import (
     CartesianMorphism,
     Polynomial,
@@ -39,26 +40,16 @@ from .slices import (
 
 @dataclass(frozen=True)
 class EvalTrace:
-    """Audit record of one evaluation: the staged objects and arrows."""
+    """One evaluation of p at x, its three stages as built.
 
-    input: SliceObj
-    C2: FinSetObj
-    C3: FinSetObj
-    C4: FinSetObj
-    counit: FinFn
-    delta_arrow: FinFn
-    dpb_p: FinFn
-    dpb_q: FinFn
-    dpb_r: FinFn
+    delta pulls x's arrow (leg1) back along p1: apex C2, counit proj1 and
+    arrow proj2.  dpb is that arrow's distributivity pullback along p2
+    (X = C3, Y = C4), and output is dpb.r post-composed with p3.
+    """
+
+    delta: PullbackSquare
+    dpb: DistPB
     output: SliceObj
-
-    def delta_square(self, p: Polynomial) -> PullbackSquare:
-        return PullbackSquare(self.C2, self.counit, self.delta_arrow,
-                              self.input.arrow, p.p1)
-
-    def dpb(self, p: Polynomial) -> DistPB:
-        return DistPB(p.p2, self.delta_arrow, self.C3, self.C4,
-                      self.dpb_p, self.dpb_q, self.dpb_r)
 
 
 @dataclass(frozen=True)
@@ -80,9 +71,7 @@ def eval_obj(p: Polynomial, x: SliceObj) -> tuple[SliceObj, EvalTrace]:
     dsq = pullback_square_for_delta(p.p1, x)
     d = dist_pullback(p.p2, dsq.proj2)
     out = sigma(p.p3, SliceObj(d.r))
-    trace = EvalTrace(x, dsq.apex, d.X, d.Y, dsq.proj1, dsq.proj2,
-                      d.p, d.q, d.r, out)
-    return out, trace
+    return out, EvalTrace(dsq, d, out)
 
 
 def eval_mor(p: Polynomial, h: SliceMor) -> SliceMor:
@@ -109,10 +98,10 @@ def nat_component(m: CartesianMorphism, x: SliceObj
         raise NotComposable("slice must live over the shared source")
     op, tp = eval_obj(p, x)
     oq, tq = eval_obj(q, x)
-    f2 = mediate(tq.delta_square(q), tp.counit,
-                 compose_fn(m.f0, tp.delta_arrow))
-    f3, f4 = dpb_compare(tq.dpb(q), compose_fn(f2, tp.dpb_p), tp.dpb_q,
-                         compose_fn(m.f1, tp.dpb_r))
+    f2 = mediate(tq.delta, tp.delta.proj1,
+                 compose_fn(m.f0, tp.delta.proj2))
+    f3, f4 = dpb_compare(tq.dpb, compose_fn(f2, tp.dpb.p), tp.dpb.q,
+                         compose_fn(m.f1, tp.dpb.r))
     comp = SliceMor(op, oq, f4)
     trace = NatComponentTrace(f2, f3, f4, tp, tq, m)
     return comp, trace

@@ -353,10 +353,6 @@ class FinFn:
         positions = self.fiber_positions()[self.cod._index[b]]
         return tuple(map(self.dom.elements.__getitem__, positions))
 
-    def image(self) -> FinSetObj:
-        return FinSetObj(map(self.cod.elements.__getitem__,
-                             sorted(set(self.idx))))
-
     def inverse(self) -> "FinFn":
         if not self.is_bijective:
             raise IllFormedFunction("function is not bijective")

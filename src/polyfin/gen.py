@@ -177,7 +177,7 @@ def duplicate_dpb(d: DistPB, rng: Draws) -> DistPB | None:
     x2 = FinSetObj(list(wrap.values()) + list(dup.values()))
     p2 = [(e, d.p(e.right)) for e in x2]
     q2 = [(e, extra if e.left == Atom("d") else d.q(e.right)) for e in x2]
-    return DistPB(d.around_f, d.around_g, x2, y2,
+    return DistPB(d.around_f, d.around_g,
                   FinFn(x2, d.p.cod, p2), FinFn(x2, y2, q2), r2)
 
 
@@ -189,7 +189,7 @@ def shrink_dpb(d: DistPB, rng: Draws) -> DistPB | None:
     y2 = FinSetObj([y for y in d.Y if y != y0])
     keep = [x for x in d.X if d.q(x) != y0]
     x2 = FinSetObj(keep)
-    return DistPB(d.around_f, d.around_g, x2, y2,
+    return DistPB(d.around_f, d.around_g,
                   FinFn(x2, d.p.cod, [(x, d.p(x)) for x in keep]),
                   FinFn(x2, y2, [(x, d.q(x)) for x in keep]),
                   FinFn(y2, d.r.cod, [(y, d.r(y)) for y in y2]))

@@ -135,12 +135,13 @@ def sdc_to_json(s: SubdividedComposite) -> dict:
 
 def eval_trace_to_json(t: EvalTrace) -> dict:
     w = _Writer()
-    return w.payload(input=w.fn(t.input.arrow),
-                     C2=w.finset(t.C2), C3=w.finset(t.C3),
-                     C4=w.finset(t.C4), counit=w.fn(t.counit),
-                     delta_arrow=w.fn(t.delta_arrow),
-                     dpb_p=w.fn(t.dpb_p), dpb_q=w.fn(t.dpb_q),
-                     dpb_r=w.fn(t.dpb_r), output=w.fn(t.output.arrow))
+    sq, d = t.delta, t.dpb
+    return w.payload(input=w.fn(sq.leg1),
+                     C2=w.finset(sq.apex), C3=w.finset(d.X),
+                     C4=w.finset(d.Y), counit=w.fn(sq.proj1),
+                     delta_arrow=w.fn(sq.proj2),
+                     dpb_p=w.fn(d.p), dpb_q=w.fn(d.q),
+                     dpb_r=w.fn(d.r), output=w.fn(t.output.arrow))
 
 
 def _fn_fields(data: Any) -> tuple[Any, Any, list]:

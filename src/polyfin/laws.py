@@ -203,8 +203,7 @@ def _law_comp_cancel(rng: gen.Draws, size: int) -> dict | None:
         mutated = gen.duplicate_dpb(right, rng)
         right = mutated or right
     top = pullback(d1.q, right.p)
-    composite = DistPB(compose_fn(g, f), h, top.apex, right.Y,
-                       compose_fn(d1.p, top.proj1),
+    composite = DistPB(compose_fn(g, f), h, compose_fn(d1.p, top.proj1),
                        compose_fn(right.q, top.proj2), right.r)
     right_term = check_dpb_terminal(right)
     comp_term = check_dpb_terminal(composite)
@@ -358,8 +357,7 @@ def _law_counits(rng: gen.Draws, size: int) -> dict | None:
     if len(others) != 1 or others[0].ts != med.ts:
         return {"issue": f"{len(others)} morphisms into the terminal composite",
                 "sdc": jsonio.sdc_to_json(sdc)}
-    prefix_tower = TerminalTower(tower.seq[:-1], tower.base,
-                                 tower.stages[:-1])
+    prefix_tower = TerminalTower(tower.base, tower.stages[:-1])
     t_prev = mediate_into_tower(prefix_tower, restrict_last(sdc))
     eps = tower.stages[-1].eps
     for i, (e, t_full) in enumerate(zip(eps, med.ts)):
@@ -482,10 +480,8 @@ def _law_hom_pullback(rng: gen.Draws, size: int) -> dict | None:
     cones.append((probe.src_poly, vcompose(pa, probe), vcompose(pb, probe)))
     for w, into_a, into_b in cones:
         mediators = [m for m in cartesian_homset(w, apex)
-                     if vcompose(pa, m).f0 == into_a.f0
-                     and vcompose(pa, m).f1 == into_a.f1
-                     and vcompose(pb, m).f0 == into_b.f0
-                     and vcompose(pb, m).f1 == into_b.f1]
+                     if vcompose(pa, m) == into_a
+                     and vcompose(pb, m) == into_b]
         if len(mediators) != 1:
             return {"issue": f"{len(mediators)} mediators for a cone",
                     "w": jsonio.poly_to_json(w)}
@@ -496,9 +492,8 @@ def _law_hom_pullback(rng: gen.Draws, size: int) -> dict | None:
         if check_pullback(one):
             return {"issue": "duplicated apex still has a pullback 1-component"}
         isos = [m for m in cartesian_homset(poly2, apex)
-                if m.is_iso
-                and vcompose(pa, m).f0 == ma.f0 and vcompose(pa, m).f1 == ma.f1
-                and vcompose(pb, m).f0 == mb.f0 and vcompose(pb, m).f1 == mb.f1]
+                if m.is_iso and vcompose(pa, m) == ma
+                and vcompose(pb, m) == mb]
         if isos:
             return {"issue": "non-pullback square is isomorphic to the apex"}
     for x in gen.probe_slices(apex.src, 1)[:3]:

@@ -135,24 +135,25 @@ def coherence_component_direct(q: Polynomial, p: Polynomial,
     oq, tq = eval_obj(q, op)
     c = compose2(q, p)
     oc, tc = eval_obj(c, x)
-    dslice_p = SliceObj(tp.delta_arrow)
-    dslice_q = SliceObj(tq.delta_arrow)
-    dslice_c = SliceObj(tc.delta_arrow)
+    dslice_p = SliceObj(tp.delta.proj2)
+    dslice_q = SliceObj(tq.delta.proj2)
+    dslice_c = SliceObj(tc.delta.proj2)
     cpb = pullback(p.p3, q.p1)
     cpb_index = {(cpb.proj1(e), cpb.proj2(e)): e for e in cpb.apex}
     c_dpb = dist_pullback(q.p2, cpb.proj2)
     chain_sq = pullback(compose_fn(cpb.proj1, c_dpb.p), p.p2)
     assert chain_sq.apex == c.mid_src and c_dpb.Y == c.mid_tgt
     mid_slice = SliceObj(cpb.proj2)
-    dc_index = {(tc.counit(e), tc.delta_arrow(e)): e for e in tc.C2}
+    dc_index = {(tc.delta.proj1(e), tc.delta.proj2(e)): e
+                for e in tc.delta.apex}
     pairs = []
     for e4 in oq.carrier:
-        bq = tq.dpb_r(e4)
+        bq = tq.dpb.r(e4)
         mid_values = {}
         for aq in q.p2.fiber(bq):
             e2 = pi_section_value(q.p2, dslice_q, e4, aq)
-            c4 = tq.counit(e2)
-            mid_values[aq] = cpb_index[(tp.dpb_r(c4), aq)]
+            c4 = tq.delta.proj1(e2)
+            mid_values[aq] = cpb_index[(tp.dpb.r(c4), aq)]
         mid = pi_make_element(q.p2, mid_slice, bq, mid_values)
         values = {}
         for e0 in c.p2.fiber(mid):
@@ -160,8 +161,8 @@ def coherence_component_direct(q: Polynomial, p: Polynomial,
             ap = chain_sq.proj2(e0)
             aq = cpb.proj2(c_dpb.p(e3))
             e2 = pi_section_value(q.p2, dslice_q, e4, aq)
-            c4 = tq.counit(e2)
+            c4 = tq.delta.proj1(e2)
             c2elt = pi_section_value(p.p2, dslice_p, c4, ap)
-            values[e0] = dc_index[(tp.counit(c2elt), e0)]
+            values[e0] = dc_index[(tp.delta.proj1(c2elt), e0)]
         pairs.append((e4, pi_make_element(c.p2, dslice_c, mid, values)))
     return SliceMor(oq, oc, FinFn(oq.carrier, oc.carrier, pairs))

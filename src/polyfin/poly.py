@@ -359,15 +359,17 @@ def _extend_right_stage(pn: Polynomial, sdc: SubdividedComposite) -> _Stage:
 
 @dataclass(frozen=True)
 class TerminalTower:
-    """Terminal subdivided composite with its staged construction data."""
+    """Terminal subdivided composite over seq, with its construction stages
+    from the identity composite base."""
 
-    seq: tuple[Polynomial, ...]
     base: SubdividedComposite
     stages: tuple[_Stage, ...]
 
     @property
     def sdc(self) -> SubdividedComposite:
         return self.stages[-1].sdc if self.stages else self.base
+
+    seq = property(attrgetter("sdc.over"))
 
 
 @dataclass
@@ -412,7 +414,7 @@ def terminal_tower(seq: list[Polynomial],
     if not seq:
         if at is None:
             raise NotComposable("an empty sequence needs a base object")
-        return TerminalTower((), identity_endospan(at), ())
+        return TerminalTower(identity_endospan(at), ())
     memo = _TOWERS.get()
     base = _trusted_sdc(**_identity_components(seq[0].src))
     stages: list[_Stage] = []
@@ -429,7 +431,7 @@ def terminal_tower(seq: list[Polynomial],
         stages[-1].sdc.validate()
         if memo is not None:
             memo.validated.add(seq)
-    return TerminalTower(seq, base, tuple(stages))
+    return TerminalTower(base, tuple(stages))
 
 
 def terminal_sdc(seq: list[Polynomial],

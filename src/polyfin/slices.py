@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import cycle, islice, product
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Iterable
 
 from .errors import (
@@ -276,18 +276,20 @@ class DistPB:
     """A pullback around (f, g) presented as distributivity-pullback data.
 
     Shape: X --p--> Z --g--> A --f--> B with Y --r--> B and X --q--> Y,
-    where the outer square (g o p, f, r, q) is a pullback.  Terminality
-    among all pullbacks around (f, g) is what check_dpb_terminal decides;
+    where the outer square (g o p, f, r, q) is a pullback.  Only the maps
+    are stored; X and Y are read off p and r.  Terminality among all
+    pullbacks around (f, g) is what check_dpb_terminal decides;
     constructors of candidates are free to violate it.
     """
 
     around_f: FinFn
     around_g: FinFn
-    X: FinSetObj
-    Y: FinSetObj
     p: FinFn
     q: FinFn
     r: FinFn
+
+    X = property(attrgetter("p.dom"))
+    Y = property(attrgetter("r.dom"))
 
     def outer_square(self) -> PullbackSquare:
         return PullbackSquare(self.X, compose_fn(self.around_g, self.p),
@@ -297,9 +299,8 @@ class DistPB:
         f, g = self.around_f, self.around_g
         if g.cod != f.dom:
             raise NotAPullbackAround("g must land in the domain of f")
-        if (self.p.dom != self.X or self.p.cod != g.dom
-                or self.q.dom != self.X or self.q.cod != self.Y
-                or self.r.dom != self.Y or self.r.cod != f.cod):
+        if (self.q.dom != self.p.dom or self.q.cod != self.r.dom
+                or self.p.cod != g.dom or self.r.cod != f.cod):
             raise NotAPullbackAround("arrows do not match the stated objects")
         if not self.outer_square().commutes():
             raise NotAPullbackAround("outer square does not commute")
@@ -319,10 +320,9 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
         raise NotComposable("g must land in the domain of f")
     yslice = pi(f, SliceObj(g))
     sq = pullback(f, yslice.arrow)
-    X, q = sq.apex, sq.proj2
-    p = FinFn(X, g.dom, idx=_Sections(f, g).odometer(
-        sq.proj1.idx, q.idx, yslice.arrow.fiber_positions()))
-    return DistPB(f, g, X, yslice.carrier, p, q, yslice.arrow)
+    p = FinFn(sq.apex, g.dom, idx=_Sections(f, g).odometer(
+        sq.proj1.idx, sq.proj2.idx, yslice.arrow.fiber_positions()))
+    return DistPB(f, g, p, sq.proj2, yslice.arrow)
 
 
 class _OuterIndex(dict):
@@ -352,7 +352,7 @@ def dpb_compare(d: DistPB, p: FinFn, q: FinFn, r: FinFn
     d.r o t = r.
     """
     f, g = d.around_f, d.around_g
-    cand = DistPB(f, g, p.dom, r.dom, p, q, r)
+    cand = DistPB(f, g, p, q, r)
     cand.validate_shape()
     gp = compose_fn(g, p)
     locate, pidx = _OuterIndex(q, gp), p.idx

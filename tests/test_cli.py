@@ -365,7 +365,9 @@ class TestEval:
     @pytest.mark.parametrize("assign, says", [
         ("x", "bad assignment entry"),
         ("x=two", "not a natural number"),
-        ("x=-1", "must not be negative")])
+        ("x=-1", "must not be negative"),
+        ("x=1,x=3", "assigned twice"),
+        ("=5", "bad assignment entry")])
     def test_malformed_assignment_exits_4(self, capsys, tmp_path, assign,
                                           says):
         f1 = tmp_path / "p.json"
@@ -374,6 +376,14 @@ class TestEval:
         assert code == 4 and out == ""
         assert err.startswith("evaluation error") and says in err
         assert "Traceback" not in err
+
+    def test_unknown_variable_is_ignored(self, capsys, tmp_path):
+        f1 = tmp_path / "p.json"
+        run(capsys, "encode", "x^2", "--in", "x", "-o", str(f1))
+        code, out, _ = run(capsys, "eval", str(f1), "--assign", "x=3")
+        code2, out2, _ = run(capsys, "eval", str(f1), "--assign", "x=3,v=7")
+        assert code == code2 == 0 and out2 == out
+        assert list(json.loads(out)["counts"].values()) == [9]
 
     def test_non_atom_target_exits_4(self, capsys, tmp_path):
         from polyfin.finset import Atom, FinFn, FinSetObj, Pair, mk_finset
@@ -414,8 +424,8 @@ class TestEval:
         assert code == 0
         assert json.loads(traced)["counts"] == {"out1": 26, "out2": 27}
         stages = traces[-1]
-        assert any(t is stages.C3.elements for t in built)
-        assert any(t is stages.C4.elements for t in built)
+        assert any(t is stages.dpb.X.elements for t in built)
+        assert any(t is stages.dpb.Y.elements for t in built)
 
     def test_trace_included(self, capsys, tmp_path):
         f1 = tmp_path / "p.json"

@@ -44,10 +44,11 @@ from support import constant_fn
 def cross_squares(trace):
     """The three comparison squares between the two evaluation stages."""
     src, tgt = trace.src_trace, trace.tgt_trace
-    s2 = PullbackSquare(src.C2, src.delta_arrow, trace.f2,
-                        trace.m.f0, tgt.delta_arrow)
-    s3 = PullbackSquare(src.C3, src.dpb_p, trace.f3, trace.f2, tgt.dpb_p)
-    s4 = PullbackSquare(src.C4, src.dpb_r, trace.f4, trace.m.f1, tgt.dpb_r)
+    s2 = PullbackSquare(src.delta.apex, src.delta.proj2, trace.f2,
+                        trace.m.f0, tgt.delta.proj2)
+    s3 = PullbackSquare(src.dpb.X, src.dpb.p, trace.f3, trace.f2, tgt.dpb.p)
+    s4 = PullbackSquare(src.dpb.Y, src.dpb.r, trace.f4, trace.m.f1,
+                        tgt.dpb.r)
     return s2, s3, s4
 
 
@@ -71,7 +72,7 @@ class TestEvalObj:
         out, trace = eval_obj(p, fiber_slice(p, assignment))
         counts = {e.token: len(out.arrow.fiber(e)) for e in p.tgt}
         assert counts == expected
-        assert check_pullback(trace.delta_square(p))
+        assert trace.delta.leg2 == p.p1 and check_pullback(trace.delta)
 
     def test_all_fibers_one_counts_summands(self):
         s = parse_poly(EXPR, in_vars=VARS)

@@ -121,12 +121,15 @@ def test_readme_composite_and_eval_trace_read_back_equal(capsys, tmp_path):
     trace = json.loads(capsys.readouterr().out)["trace"]
     p = encode(parse_poly(expr, in_vars=["w", "x", "y", "z"]))
     _, t = eval_obj(p, fiber_slice(p, dict.fromkeys("wxyz", 2)))
-    arrows = {"input": t.input.arrow, "counit": t.counit,
-              "delta_arrow": t.delta_arrow, "dpb_p": t.dpb_p,
-              "dpb_q": t.dpb_q, "dpb_r": t.dpb_r, "output": t.output.arrow}
+    arrows = {"input": t.delta.leg1, "counit": t.delta.proj1,
+              "delta_arrow": t.delta.proj2, "dpb_p": t.dpb.p,
+              "dpb_q": t.dpb.q, "dpb_r": t.dpb.r, "output": t.output.arrow}
     for name, arrow in arrows.items():
         fn = {"version": 2, "nodes": trace["nodes"], **trace[name]}
         assert jsonio.fn_from_json(fn) == arrow, name
+    assert trace["C2"] == trace["counit"]["dom"]
+    assert trace["C3"] == trace["dpb_p"]["dom"]
+    assert trace["C4"] == trace["dpb_r"]["dom"]
 
 
 def _fn_back(data, fn):

@@ -14,6 +14,7 @@ counterexample in the report.
 """
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -65,6 +66,20 @@ def test_no_module_rebinds_a_global():
         assert not any(isinstance(n, ast.Global) for n in ast.walk(tree)), \
             path.name
     assert not hasattr(gen, "reset_counter")
+
+
+def test_records_store_no_set_their_maps_determine():
+    """Each fact is stored once: a record of maps keeps no set field, since
+    every set it needs is a domain or codomain of one of its maps.
+    PullbackSquare is exempt by name and keeps its apex: the acceptance
+    suite's unnormalized-pullback mutant builds one positionally, apex
+    first, and the acceptance tests are the fixed contract."""
+    records = (polyfin.poly.Polynomial, polyfin.poly.SubdividedComposite,
+               polyfin.slices.DistPB, polyfin.extension.EvalTrace,
+               polyfin.poly.TerminalTower)
+    for record in records:
+        for f in dataclasses.fields(record):
+            assert "FinSetObj" not in str(f.type), (record.__name__, f.name)
 
 
 def test_each_draw_stream_numbers_its_own_sets():

@@ -145,8 +145,7 @@ class TestTerminalSdc:
             tower = terminal_tower(seq)
             tower.base.validate()
             assert tower.base == identity_endospan(seq[0].src)
-            prefix = TerminalTower(tower.seq[:-1], tower.base,
-                                   tower.stages[:-1])
+            prefix = TerminalTower(tower.base, tower.stages[:-1])
             fresh = terminal_tower(seq[:-1], at=seq[0].src)
             assert prefix.seq == fresh.seq and prefix.base == fresh.base
             assert prefix.sdc == fresh.sdc

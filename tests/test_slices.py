@@ -510,15 +510,14 @@ class TestDpbTerminal:
     def test_identity_diagram_is_terminal(self):
         a = mk_finset(["a1", "a2"])
         one = identity_fn(a)
-        d = DistPB(one, one, a, a, one, one, one)
+        d = DistPB(one, one, one, one, one)
         assert check_dpb_terminal(d)
 
     def test_ill_formed_candidate(self):
         a, b = mk_finset(["a"]), mk_finset(["b"])
         f = constant_fn(a, b, Atom("b"))
-        d = DistPB(f, identity_fn(a), a, b, identity_fn(a), f,
-                   identity_fn(b))
-        bad = DistPB(f, identity_fn(a), a, b, identity_fn(a), f,
+        d = DistPB(f, identity_fn(a), identity_fn(a), f, identity_fn(b))
+        bad = DistPB(f, identity_fn(a), identity_fn(a), f,
                      constant_fn(b, a, Atom("a")))
         with pytest.raises(NotAPullbackAround):
             check_dpb_terminal(bad)
@@ -567,7 +566,7 @@ def _with_points(d, pairs):
     x2 = FinSetObj(x for x, _ in pairs)
     p2 = FinFn(x2, d.p.cod, [(x, d.p(src)) for x, src in pairs])
     q2 = FinFn(x2, d.Y, [(x, d.q(src)) for x, src in pairs])
-    return DistPB(d.around_f, d.around_g, x2, d.Y, p2, q2, d.r)
+    return DistPB(d.around_f, d.around_g, p2, q2, d.r)
 
 
 def _duplicated_point(d):

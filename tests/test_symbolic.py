@@ -196,7 +196,7 @@ class TestEvalViaExtension:
             assert eval_via_extension(p, a) == counts
         assert built == []
         assert counts == eval_sym(parse_poly(EXPR, in_vars=VARS), a)
-        assert len(trace.C4) == sum(counts.values())
+        assert len(trace.dpb.Y) == sum(counts.values())
 
     def test_non_atom_target_is_not_nameable(self):
         bad = identity_poly(FinSetObj([Pair(Atom("o"), Atom("1"))]))
