@@ -12,6 +12,7 @@ from .errors import (
     NotCartesian,
     NotComposable,
     NotNameable,
+    OutputError,
     ParseError,
     PolyfinError,
 )

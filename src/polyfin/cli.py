@@ -3,8 +3,9 @@
 All I/O is JSON (sorted keys) so runs with the same seed and configuration
 are byte-identical apart from the reported wall time.  Exit codes: 0 on
 success, 1 when a law run found failures, 2 for text or JSON parse
-problems, 3 for composition boundary mismatches, 4 for bad evaluation
-input.
+problems (an input file that cannot be read or is not UTF-8 included) and
+for an output file that cannot be written, 3 for composition boundary
+mismatches, 4 for bad evaluation input.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     IncompleteAssignment,
     NotComposable,
     NotNameable,
+    OutputError,
     ParseError,
     PolyfinError,
 )
@@ -31,9 +33,12 @@ from .symbolic import decode, encode, eval_with_trace, parse_poly
 def _emit(data, out_path: str | None) -> None:
     """Write json.dumps(data, indent=2, sort_keys=True) and a newline."""
     if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write {out_path}: {exc}") from exc
     else:
         json.dump(data, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -42,10 +47,14 @@ def _emit(data, out_path: str | None) -> None:
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            # Decode the bytes strictly: under a C locale the text stream
+            # would pass undecodable bytes through as surrogates.
+            raw = getattr(sys.stdin, "buffer", None)
+            return json.loads(raw.read().decode("utf-8") if raw
+                              else sys.stdin.read())
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}", 0) from exc
     except RecursionError:
         raise ParseError(f"cannot read {path}: nested too deeply", 0) from None
@@ -211,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
+        return 2
+    except OutputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     except NotComposable as exc:
         sys.stderr.write(f"composition error: {exc}\n")

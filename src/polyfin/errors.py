@@ -53,5 +53,9 @@ class ParseError(PolyfinError):
         self.position = position
 
 
+class OutputError(PolyfinError):
+    """An output file cannot be written."""
+
+
 class IncompleteAssignment(PolyfinError):
     """A numeric assignment is missing one of the input variables."""

@@ -21,6 +21,13 @@ Chosen pullbacks are normalized: pulling back along an identity (or pulling
 an identity back) returns the other leg's domain on the nose, so identity
 laws downstream hold strictly rather than up to isomorphism.
 
+The pullback check enumerates the matching pairs of a cospan from its legs
+alone, in the order a chosen pullback lists them.  A square whose
+projection tables equal that enumeration, or the enumeration of the
+transposed cospan, is a pullback by inspection; any other square is
+decided by commuting and counting.  Both paths give the same answer, and
+neither calls pullback.
+
 A set may also be lazy (lazy_finset): its size is known up front and its
 elements are built on first read.  pullback's apex is lazy, so a caller
 that only reads position tables never builds a Pair.  Every carrier that
@@ -426,6 +433,23 @@ def compose_fn(g: FinFn, f: FinFn) -> FinFn:
     return _trusted_fn(f.dom, g.cod, tuple(map(g.idx.__getitem__, f.idx)))
 
 
+def _matching_pairs(f: FinFn, g: FinFn) -> tuple[tuple[int, ...],
+                                                  tuple[int, ...]]:
+    """The position pairs (i, k) with f(i) = g(k), as two tables.
+
+    Ordered by i, and within one i by k's place in g's fiber, which is the
+    canonical order of the pairs Pair(f.dom[i], g.dom[k]).
+    """
+    fibers = g.fiber_positions()
+    left, right = [], []
+    extend_left, extend_right = left.extend, right.extend
+    for i, j in enumerate(f.idx):
+        fib = fibers[j]
+        extend_left([i] * len(fib))
+        extend_right(fib)
+    return tuple(left), tuple(right)
+
+
 def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
     """Chosen pullback of the cospan (f, g).
 
@@ -443,13 +467,7 @@ def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
     if g.is_identity:
         apex = f.dom
         return PullbackSquare(apex, identity_fn(apex), f, f, g)
-    fibers = g.fiber_positions()
-    left, right = [], []
-    for i, j in enumerate(f.idx):
-        fib = fibers[j]
-        left.extend([i] * len(fib))
-        right.extend(fib)
-    left, right = tuple(left), tuple(right)
+    left, right = _matching_pairs(f, g)
 
     def build() -> list[Element]:
         fd, gd = f.dom.elements, g.dom.elements
@@ -467,17 +485,25 @@ def check_pullback(sq: PullbackSquare) -> bool:
     Uses the concrete criterion: the map e |-> (proj1 e, proj2 e) must be a
     bijection onto the matching pairs of the cospan.  In a well-pointed
     category of finite sets this is equivalent to the universal property
-    over arbitrary test objects.  Once the square commutes every image is
-    a matching pair, so the map is a bijection exactly when its images are
-    distinct and as many as the matching pairs, which are counted from the
-    legs alone.
+    over arbitrary test objects.
+
+    A square whose projection tables list exactly the matching pairs,
+    enumerated from the legs alone in the order pullback emits them
+    (_matching_pairs), is accepted at once, and so is its transpose: a
+    composite's last stage and pullback(id, g) list the pairs of the
+    swapped cospan.  Any other square is decided by counting: once it
+    commutes every image is a matching pair, so the map is a bijection
+    exactly when its images are distinct and as many as the matching
+    pairs.  Neither path calls pullback, so a replaced pullback cannot
+    vouch for its own squares.
     """
+    p1, p2 = _square_positions(sq)
+    pairs = _matching_pairs(sq.leg1, sq.leg2)
+    if (p1, p2) == pairs or (p2, p1) == _matching_pairs(sq.leg2, sq.leg1):
+        return True
     if not sq.commutes():
         raise NotASquare("square does not commute")
-    fibers = sq.leg2.fiber_positions()
-    matching = sum(len(fibers[j]) for j in sq.leg1.idx)
-    got = set(zip(sq.proj1.idx, sq.proj2.idx))
-    return len(sq.proj1.idx) == len(got) == matching
+    return len(p1) == len(set(zip(p1, p2))) == len(pairs[0])
 
 
 def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:

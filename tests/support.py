@@ -4,12 +4,24 @@ from contextlib import contextmanager
 from unittest import mock
 
 import polyfin.finset
-from polyfin.finset import Element, FinFn, FinSetObj
+from polyfin.errors import NotASquare
+from polyfin.finset import Element, FinFn, FinSetObj, PullbackSquare
 
 
 def constant_fn(dom: FinSetObj, cod: FinSetObj, value: Element) -> FinFn:
     """The function dom -> cod sending every element to value."""
     return FinFn(dom, cod, [(e, value) for e in dom])
+
+
+def counting_pullback_check(sq: PullbackSquare) -> bool:
+    """Reference for check_pullback: the square commutes, its apex points
+    have distinct projection pairs, and they are as many as the pairs of
+    the two legs' domains that the legs send to one point."""
+    if not sq.commutes():
+        raise NotASquare("square does not commute")
+    matching = sum(j == k for j in sq.leg1.idx for k in sq.leg2.idx)
+    got = set(zip(sq.proj1.idx, sq.proj2.idx))
+    return len(sq.proj1.idx) == len(got) == matching
 
 
 @contextmanager

@@ -77,6 +77,44 @@ class TestDecode:
         assert json.loads(out)["text"] == "2 + x^3*y ; 3*x^2*z + y"
 
 
+NOT_UTF8 = b'{"version": 2, "nodes": [["atom", "\xff"]]}'
+
+
+class TestUnreadableInput:
+    """Input that is not UTF-8 exits 2 with a parse error, whichever
+    command reads it and whether it comes from a file or from stdin."""
+
+    @pytest.mark.parametrize("argv", [["decode"], ["compose"],
+                                      ["eval", "--assign", "x=2"]])
+    def test_file_not_utf8_exits_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: cannot read {bad}")
+        assert "Traceback" not in err
+
+    def test_stdin_not_utf8_exits_2(self, capsys, monkeypatch):
+        # A C-locale stdin, which decodes with surrogateescape.
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape"))
+        code, out, err = run(capsys, "decode", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: cannot read -")
+
+
+class TestUnwritableOutput:
+    """An -o that cannot be opened for writing exits 2 and names it."""
+
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        code, out, err = run(capsys, "encode", "x^2", "-o", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
+
 # "x^2 + x" --in x as written before payloads carried a version.
 V1_FIXTURE = {
     "src": ["x"], "A": ["m0.u0", "m1.u0", "m1.u1"], "B": ["m0", "m1"],

@@ -35,7 +35,7 @@ from polyfin.finset import (
     pullback,
 )
 
-from support import constant_fn, recorded_builds
+from support import constant_fn, counting_pullback_check, recorded_builds
 
 elements = st.recursive(
     st.sampled_from("abcxyz").map(Atom),
@@ -70,13 +70,13 @@ def rebuild(e, rnd):
 
 
 @st.composite
-def cospans(draw):
+def cospans(draw, max_dom=6):
     """Cospans f : A -> C <- B : g of atoms.  Fibers may be empty, legs need
     not be surjective, and A, B (and C) may be empty."""
     cod = mk_finset([f"c{i}" for i in range(draw(st.integers(0, 4)))])
 
     def leg(prefix):
-        size = draw(st.integers(0, 6)) if len(cod) else 0
+        size = draw(st.integers(0, max_dom)) if len(cod) else 0
         dom = mk_finset([f"{prefix}{i}" for i in range(size)])
         return FinFn(dom, cod, [(e, draw(st.sampled_from(cod.elements)))
                                 for e in dom])
@@ -619,6 +619,53 @@ class TestCheckPullback:
             assert len(sq.apex) == pair_set(f, g)
 
 
+def _outcome(decide, sq):
+    try:
+        return decide(sq)
+    except NotASquare:
+        return NotASquare
+
+
+class TestCheckPullbackAgainstCounting:
+    """check_pullback gives the counting reference's answer on the chosen
+    pullback and on squares one edit away from it."""
+
+    @staticmethod
+    def _relabelled(sq, p1, p2):
+        """A square over sq's legs whose apex points have the given
+        projection positions."""
+        apex = mk_finset([f"e{i}" for i in range(len(p1))])
+        return PullbackSquare(apex, FinFn(apex, sq.leg1.dom, idx=p1),
+                              FinFn(apex, sq.leg2.dom, idx=p2),
+                              sq.leg1, sq.leg2)
+
+    def _variants(self, data, sq):
+        p1, p2 = list(sq.proj1.idx), list(sq.proj2.idx)
+        yield "chosen", sq
+        yield "transpose", PullbackSquare(sq.apex, sq.proj2, sq.proj1,
+                                          sq.leg2, sq.leg1)
+        order = data.draw(st.permutations(range(len(p1))))
+        yield "permuted", self._relabelled(sq, [p1[e] for e in order],
+                                           [p2[e] for e in order])
+        if not p1:
+            return
+        e = data.draw(st.integers(0, len(p1) - 1))
+        yield "dropped", self._relabelled(sq, p1[:e] + p1[e + 1:],
+                                          p2[:e] + p2[e + 1:])
+        yield "duplicated", self._relabelled(sq, p1 + [p1[e]], p2 + [p2[e]])
+        side = data.draw(st.sampled_from((p1, p2)))
+        size = len((sq.leg1 if side is p1 else sq.leg2).dom)
+        side[e] = data.draw(st.integers(0, size - 1))
+        yield "changed", self._relabelled(sq, p1, p2)
+
+    @given(cospans(max_dom=4), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_answer(self, cospan, data):
+        for name, sq in self._variants(data, pullback(*cospan)):
+            assert (_outcome(check_pullback, sq)
+                    == _outcome(counting_pullback_check, sq)), name
+
+
 class TestCheckPullbackIndependence:
     """check_pullback computes its reference from the legs alone, so it
     still rejects the squares of a pullback that drops an apex element."""
@@ -640,6 +687,23 @@ class TestCheckPullbackIndependence:
         monkeypatch.setattr(polyfin.finset, "pullback", mutant)
         monkeypatch.setattr(polyfin.poly, "pullback", mutant)
         return mutant
+
+    def test_decides_with_pullback_unavailable(self, monkeypatch):
+        def broken(f, g):
+            raise AssertionError("check_pullback called pullback")
+
+        monkeypatch.setattr(polyfin.finset, "pullback", broken)
+        a, b, c = mk_finset(["a1", "a2"]), mk_finset(["b"]), mk_finset(["c"])
+        f, g = constant_fn(a, c, Atom("c")), constant_fn(b, c, Atom("c"))
+        apex = mk_finset(["u", "v"])
+        sq = PullbackSquare(apex, FinFn(apex, a, idx=[0, 1]),
+                            constant_fn(apex, b, Atom("b")), f, g)
+        assert check_pullback(sq)
+        swapped = PullbackSquare(apex, sq.proj2, sq.proj1, g, f)
+        assert check_pullback(swapped)
+        twice = PullbackSquare(apex, constant_fn(apex, a, Atom("a1")),
+                               sq.proj2, f, g)
+        assert not check_pullback(twice)
 
     def test_rejects_mutant_square(self, dropping_pullback):
         pt = mk_finset(["*"])
