@@ -43,6 +43,7 @@ from .finset import (
     Pair,
     PullbackSquare,
     Sect,
+    _take,
     check_pullback,
     compose_fn,
     identity_fn,
@@ -205,13 +206,12 @@ class _Sections:
         es = [e for e, b in enumerate(bs) for _ in fibers[b]]
         at = [a for b in bs for a in fibers[b]]
         vals = values(es, at)
-        if list(map(self.xidx.__getitem__, vals)) != at:
+        if _take(self.xidx, vals) != tuple(at):
             raise IllFormedFunction("section value lies outside its fiber")
         if self.identity:
             return vals
         rank = {v: i for fib in self.xfibers for i, v in enumerate(fib)}
-        digits = iter(map(mul, map(rank.__getitem__, vals),
-                          map(stride.__getitem__, at)))
+        digits = iter(map(mul, _take(rank, vals), _take(stride, at)))
         return [self.offset[b] + sum(islice(digits, len(fibers[b])))
                 for b in bs]
 
@@ -545,7 +545,7 @@ def slice_homset(x: SliceObj, y: SliceObj) -> list[SliceMor]:
         raise NotComposable("slices live over different bases")
     yfibers = y.arrow.fiber_positions()
     return [SliceMor(x, y, FinFn(x.carrier, y.carrier, idx=combo))
-            for combo in product(*map(yfibers.__getitem__, x.arrow.idx))]
+            for combo in product(*_take(yfibers, x.arrow.idx))]
 
 
 def sigma_delta_transpose(f: FinFn, x: SliceObj, y: SliceObj,

@@ -2,6 +2,7 @@
 
 import contextvars
 import re
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from polyfin.finset import (
     Pair,
     PullbackSquare,
     Sect,
+    _take,
     check_pullback,
     compose_fn,
     identity_fn,
@@ -664,6 +666,92 @@ class TestCheckPullbackAgainstCounting:
         for name, sq in self._variants(data, pullback(*cospan)):
             assert (_outcome(check_pullback, sq)
                     == _outcome(counting_pullback_check, sq)), name
+
+
+@st.composite
+def composable(draw, max_size=5):
+    """Maps f : A -> B and g : B -> C of atoms.  Any of A, B, C may be
+    empty, as far as a map out of A and out of B still exists."""
+    sizes = [draw(st.integers(0, max_size))]
+    for _ in range(2):
+        sizes.append(draw(st.integers(0, max_size)) if sizes[-1] else 0)
+    c, b, a = (mk_finset([f"{p}{i}" for i in range(n)])
+               for p, n in zip("cba", sizes))
+
+    def fn(dom, cod):
+        return FinFn(dom, cod, idx=[draw(st.integers(0, len(cod) - 1))
+                                    for _ in dom])
+
+    return fn(a, b), fn(b, c)
+
+
+def _commutes_pointwise(sq):
+    return all(sq.leg1(sq.proj1(e)) == sq.leg2(sq.proj2(e)) for e in sq.apex)
+
+
+class TestTake:
+    """_take gathers one table at the positions listed in another."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10_000])
+    def test_equals_map_reference(self, n):
+        table = tuple(f"v{i}" for i in range(n))
+        for positions in ([(7 * i + 3) % n for i in range(n)],
+                          tuple(reversed(range(n))), list(range(min(n, 1)))):
+            got = _take(table, positions)
+            assert type(got) is tuple
+            assert got == tuple(map(table.__getitem__, positions))
+            assert type(_take(list(table), positions)) is tuple
+
+    def test_one_position_gives_a_tuple_not_the_entry(self):
+        assert _take(("x", "y"), [1]) == ("y",)
+        assert _take([(0, 1)], (0,)) == ((0, 1),)
+        assert _take({5: "a"}, [5]) == ("a",)
+
+
+class TestGathersAgainstDefinitions:
+    """compose_fn, graph, fiber and commutes gather position tables; each
+    agrees with its pointwise definition."""
+
+    @staticmethod
+    def _assert_maps(f, g):
+        gf = compose_fn(g, f)
+        assert all(gf(x) == g(f(x)) for x in f.dom)
+        for h in (f, g, gf):
+            assert h.graph == tuple((a, h(a)) for a in h.dom)
+            for b in h.cod:
+                assert h.fiber(b) == tuple(a for a in h.dom if h(a) == b)
+
+    @given(composable())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_maps(self, fg):
+        self._assert_maps(*fg)
+
+    @given(cospans(max_dom=4), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_commutes(self, cospan, data):
+        sq = pullback(*cospan)
+        assert sq.commutes() and _commutes_pointwise(sq)
+        p1, p2 = list(sq.proj1.idx), list(sq.proj2.idx)
+        if p1:
+            e = data.draw(st.integers(0, len(p1) - 1))
+            side = data.draw(st.sampled_from((p1, p2)))
+            size = len((sq.leg1 if side is p1 else sq.leg2).dom)
+            side[e] = data.draw(st.integers(0, size - 1))
+            changed = TestCheckPullbackAgainstCounting._relabelled(sq, p1, p2)
+            assert changed.commutes() == _commutes_pointwise(changed)
+
+    def test_empty_and_one_point_domains(self):
+        sets = [mk_finset([]), mk_finset(["p"]), mk_finset(["q0", "q1"])]
+        for a, b, c in product(sets[:2], sets, sets):
+            if a and not b or b and not c:
+                continue  # no map from a nonempty set to an empty one
+            for ftab in product(range(len(b)), repeat=len(a)):
+                f = FinFn(a, b, idx=ftab)
+                for gtab in product(range(len(c)), repeat=len(b)):
+                    self._assert_maps(f, FinFn(b, c, idx=gtab))
+                for htab in product(range(len(b)), repeat=len(a)):
+                    sq = pullback(f, FinFn(a, b, idx=htab))
+                    assert sq.commutes() and _commutes_pointwise(sq)
 
 
 class TestCheckPullbackIndependence:
