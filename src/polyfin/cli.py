@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import jsonio
 from .errors import (
@@ -129,14 +130,7 @@ def cmd_check(args) -> int:
             return 2
     cfg = InstanceGenConfig(seed=args.seed, max_set_size=args.size,
                             cases=args.cases)
-    if args.paranoid:
-        with paranoid_checks() as record:
-            reports = run_laws(names, cfg)
-        sys.stderr.write(
-            f"paranoid: skipped {record.skipped} of "
-            f"{record.searched + record.skipped} mediator uniqueness "
-            "searches whose candidate space was too large to scan\n")
-    else:
+    with paranoid_checks() if args.paranoid else nullcontext():
         reports = run_laws(names, cfg)
     failures = sum(len(r.failures) for r in reports)
     _emit({"config": {"seed": cfg.seed, "size": cfg.max_set_size,
@@ -203,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--size", type=_at_least(1), default=3)
     chk.add_argument("--cases", type=_at_least(0), default=50)
     chk.add_argument("--paranoid", action="store_true",
-                     help="re-verify induced maps by exhaustive search")
+                     help="re-verify unique comparison maps by counting")
     chk.add_argument("-o", "--output", default=None)
     chk.set_defaults(func=cmd_check)
 

@@ -35,6 +35,9 @@ elements are built on first read.  pullback's apex is lazy, so a caller
 that only reads position tables never builds a Pair.  Every carrier that
 does get built goes through ordered_finset, so the positions the tables
 were computed against are checked to be the canonical ones.
+
+paranoid_checks() switches on one re-verification, the mediator count in
+slices.dpb_compare.  mediate needs none; its docstring says why.
 """
 
 from __future__ import annotations
@@ -52,41 +55,24 @@ from .errors import (
     NotComposable,
 )
 
-@dataclass
-class ParanoidRecord:
-    """Exhaustive uniqueness searches of one paranoid_checks() block.
-
-    A search whose candidate space is too large to scan counts as skipped.
-    """
-
-    searched: int = 0
-    skipped: int = 0
-
-
-_PARANOID: ContextVar[ParanoidRecord | None] = ContextVar(
-    "polyfin_paranoid", default=None)
+_PARANOID: ContextVar[bool] = ContextVar("polyfin_paranoid", default=False)
 
 
 @contextmanager
-def paranoid_checks() -> Iterator[ParanoidRecord]:
-    """Re-verify every induced unique map by exhaustive search while active.
+def paranoid_checks() -> Iterator[None]:
+    """While active, slices.dpb_compare counts its mediators (see there).
 
-    Yields the block's record; a nested block shares the enclosing one.
+    A nested block leaves the enclosing one active when it ends.
     """
-    token = _PARANOID.set(_PARANOID.get() or ParanoidRecord())
+    token = _PARANOID.set(True)
     try:
-        yield _PARANOID.get()
+        yield
     finally:
         _PARANOID.reset(token)
 
 
-def paranoid_record() -> ParanoidRecord | None:
-    """The active block's record, or None outside paranoid_checks()."""
-    return _PARANOID.get()
-
-
 def paranoid_enabled() -> bool:
-    return _PARANOID.get() is not None
+    return _PARANOID.get()
 
 
 class Element:
@@ -530,9 +516,9 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
 
     t1 and t2 share a domain T, land in proj1.cod and proj2.cod, and
     satisfy leg1 o t1 = leg2 o t2.  An apex with two points over one pair
-    of projections is refused, as is a pair with no point over it.  Under
-    paranoid_checks the uniqueness is re-verified by scanning the whole
-    apex per point.
+    of projections is refused, as is a pair with no point over it.  Every
+    point of T then has exactly one apex point over its pair, so the
+    mediator is unique by construction and paranoid_checks adds nothing.
     """
     if t1.dom != t2.dom:
         raise NotComposable("cone legs must share a domain")
@@ -551,10 +537,4 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
             positions.append(index[target])
         except KeyError:
             raise NotASquare("square lacks the pullback property") from None
-    if _PARANOID.get() is not None:
-        for x in t1.dom:
-            hits = [e for e in sq.apex
-                    if sq.proj1(e) == t1(x) and sq.proj2(e) == t2(x)]
-            if len(hits) != 1:
-                raise NotASquare("mediating element is not unique")
     return FinFn(t1.dom, sq.apex, idx=positions)

@@ -24,8 +24,10 @@ nose.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import cycle, islice, product
+from math import prod
 from operator import attrgetter, mul
 from typing import Callable, Iterable
 
@@ -50,7 +52,6 @@ from .finset import (
     lazy_finset,
     mediate,
     paranoid_enabled,
-    paranoid_record,
 )
 
 
@@ -397,25 +398,31 @@ def dpb_mediate(d: DistPB, p_cand: FinFn, q_cand: FinFn,
 
 def _assert_unique_dpb_mediator(d: DistPB, cand: DistPB,
                                 s: FinFn, t: FinFn) -> None:
-    record = paranoid_record()
-    space = (max(len(d.X), 1) ** len(cand.X)
-             * max(len(d.Y), 1) ** len(cand.Y))
-    if space > 100_000:
-        record.skipped += 1
-        return
-    record.searched += 1
-    hits = 0
-    for s2 in _all_fns(cand.X, d.X):
-        if compose_fn(d.p, s2) != cand.p:
-            continue
-        for t2 in _all_fns(cand.Y, d.Y):
-            if (compose_fn(d.r, t2) == cand.r
-                    and compose_fn(d.q, s2) == compose_fn(t2, cand.q)):
-                hits += 1
-                if (s2, t2) != (s, t):
-                    raise NotAPullbackAround("mediator is not unique")
-    if hits != 1:
+    """Refuse unless (s, t) is a morphism from cand into d and the only one."""
+    if (compose_fn(d.p, s) != cand.p or compose_fn(d.r, t) != cand.r
+            or compose_fn(d.q, s) != compose_fn(t, cand.q)
+            or _count_dpb_mediators(d, cand) != 1):
         raise NotAPullbackAround("mediator is not unique")
+
+
+def _count_dpb_mediators(d: DistPB, cand: DistPB) -> int:
+    """The number of morphisms (s, t) from cand into d, in Python ints.
+
+    A morphism has d.p o s = cand.p, d.r o t = cand.r and
+    d.q o s = t o cand.q.  So it factors over cand's Y: t sends each y to
+    some t_y over cand.r(y), and s then sends each x over y to any x' of
+    d.X with (d.p x', d.q x') = (cand.p x, t_y), independently of the
+    other points.  The morphisms number
+
+        prod_y sum_{t_y in d.r^-1(cand.r y)} prod_{x in cand.q^-1(y)}
+            #{x' : d.p x' = cand.p x, d.q x' = t_y},
+
+    read off one Counter of d's (p, q) position pairs.
+    """
+    over = Counter(zip(d.p.idx, d.q.idx))
+    ts, xs, p = d.r.fiber_positions(), cand.q.fiber_positions(), cand.p.idx
+    return prod(sum(prod(over[p[x], ty] for x in xs[y]) for ty in ts[r])
+                for y, r in enumerate(cand.r.idx))
 
 
 def _all_fns(dom: FinSetObj, cod: FinSetObj):

@@ -5,7 +5,14 @@ from unittest import mock
 
 import polyfin.finset
 from polyfin.errors import NotASquare
-from polyfin.finset import Element, FinFn, FinSetObj, PullbackSquare
+from polyfin.finset import (
+    Element,
+    FinFn,
+    FinSetObj,
+    PullbackSquare,
+    compose_fn,
+)
+from polyfin.slices import DistPB, _all_fns
 
 
 def constant_fn(dom: FinSetObj, cod: FinSetObj, value: Element) -> FinFn:
@@ -22,6 +29,21 @@ def counting_pullback_check(sq: PullbackSquare) -> bool:
     matching = sum(j == k for j in sq.leg1.idx for k in sq.leg2.idx)
     got = set(zip(sq.proj1.idx, sq.proj2.idx))
     return len(sq.proj1.idx) == len(got) == matching
+
+
+def enumerated_dpb_mediators(d: DistPB, cand: DistPB) -> int:
+    """Reference for slices._count_dpb_mediators: try every pair of maps
+    (s, t) from cand's X and Y into d's, and count those with
+    d.p o s = cand.p, d.r o t = cand.r and d.q o s = t o cand.q."""
+    hits = 0
+    for s in _all_fns(cand.X, d.X):
+        if compose_fn(d.p, s) != cand.p:
+            continue
+        for t in _all_fns(cand.Y, d.Y):
+            if (compose_fn(d.r, t) == cand.r
+                    and compose_fn(d.q, s) == compose_fn(t, cand.q)):
+                hits += 1
+    return hits
 
 
 @contextmanager

@@ -24,7 +24,6 @@ from polyfin.finset import (
     mk_finset,
     mk_fn,
     paranoid_checks,
-    paranoid_record,
     pullback,
 )
 from polyfin.oracles import pi_make_element, pi_section_value
@@ -42,6 +41,7 @@ from polyfin.slices import (
     induce_sections,
     left_bc_component,
     _Sections,
+    _count_dpb_mediators,
     pi,
     pi_tabulate,
     right_bc_component,
@@ -52,7 +52,7 @@ from polyfin.slices import (
     terminal_slice,
 )
 
-from support import constant_fn, recorded_builds
+from support import constant_fn, enumerated_dpb_mediators, recorded_builds
 
 
 def const_slice(tag, n, base, point):
@@ -643,9 +643,9 @@ class TestDpbMediate:
             dpb_compare(d, identity_fn(d.X), d.q, d.r)
 
 
-class TestParanoidRecord:
-    """Under paranoid_checks, dpb_compare searches its mediator space for
-    uniqueness, or counts the search as skipped when the space is too big."""
+class TestParanoidCount:
+    """Under paranoid_checks, dpb_compare counts the morphisms from its
+    candidate into its target and refuses unless there is exactly one."""
 
     @staticmethod
     def _dpb(points, per_point):
@@ -657,22 +657,38 @@ class TestParanoidRecord:
         g = FinFn(z, a, [(e, Atom(f"a{e.token[1]}")) for e in z])
         return dist_pullback(constant_fn(a, b, Atom("b")), g)
 
-    @pytest.mark.parametrize("points, per_point, searched, skipped",
-                             [(1, 3, 1, 0), (2, 2, 0, 1)])
-    def test_counts_searched_and_skipped(self, points, per_point, searched,
-                                         skipped):
+    @pytest.mark.parametrize("points, per_point", [(1, 3), (2, 2)])
+    def test_chosen_target_gives_identity_mediators(self, points,
+                                                    per_point):
         d = self._dpb(points, per_point)
-        space = len(d.X) ** len(d.X) * len(d.Y) ** len(d.Y)
-        assert (space > 100_000) is bool(skipped)
-        with paranoid_checks() as record:
-            with paranoid_checks() as inner:
-                s, t = dpb_compare(d, d.p, d.q, d.r)
-        assert inner is record
-        assert (record.searched, record.skipped) == (searched, skipped)
+        with paranoid_checks():
+            s, t = dpb_compare(d, d.p, d.q, d.r)
         assert s.is_identity and t.is_identity
-        assert paranoid_record() is None
-        dpb_compare(d, d.p, d.q, d.r)
-        assert (record.searched, record.skipped) == (searched, skipped)
+
+    def test_duplicated_target_is_refused(self):
+        # The duplicated section gives two mediators.  Trying every pair
+        # of maps would take 10^8 * 5^4 of them.
+        d = self._dpb(2, 2)
+        dup = gen.duplicate_dpb(d, gen.Draws(0))
+        assert (len(dup.X), len(dup.Y), len(d.X), len(d.Y)) == (10, 5, 8, 4)
+        dpb_compare(dup, d.p, d.q, d.r)
+        with paranoid_checks(), pytest.raises(
+                NotAPullbackAround, match="mediator is not unique"):
+            dpb_compare(dup, d.p, d.q, d.r)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_count_equals_enumeration(self, seed, size):
+        rng = gen.Draws(seed)
+        d = gen.rand_dpb(rng, size)
+        family = [e for e in (d, gen.duplicate_dpb(d, rng),
+                              gen.shrink_dpb(d, rng)) if e is not None]
+        for target, cand in product(family, repeat=2):
+            space = (max(len(target.X), 1) ** len(cand.X)
+                     * max(len(target.Y), 1) ** len(cand.Y))
+            if space <= 100_000:
+                assert (_count_dpb_mediators(target, cand)
+                        == enumerated_dpb_mediators(target, cand))
 
 
 class TestBeckChevalley:
