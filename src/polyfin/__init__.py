@@ -29,7 +29,6 @@ from .finset import (
     identity_fn,
     mk_finset,
     mk_fn,
-    paranoid_checks,
     pullback,
 )
 from .slices import (

@@ -36,14 +36,12 @@ that only reads position tables never builds a Pair.  Every carrier that
 does get built goes through ordered_finset, so the positions the tables
 were computed against are checked to be the canonical ones.
 
-paranoid_checks() switches on one re-verification, the mediator count in
-slices.dpb_compare.  mediate needs none; its docstring says why.
+mediate's map into a pullback apex is unique by construction, so nothing
+re-verifies it; slices.dpb_compare counts its mediators on every call.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import attrgetter, is_, itemgetter, lt
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -54,25 +52,6 @@ from .errors import (
     NotASquare,
     NotComposable,
 )
-
-_PARANOID: ContextVar[bool] = ContextVar("polyfin_paranoid", default=False)
-
-
-@contextmanager
-def paranoid_checks() -> Iterator[None]:
-    """While active, slices.dpb_compare counts its mediators (see there).
-
-    A nested block leaves the enclosing one active when it ends.
-    """
-    token = _PARANOID.set(True)
-    try:
-        yield
-    finally:
-        _PARANOID.reset(token)
-
-
-def paranoid_enabled() -> bool:
-    return _PARANOID.get()
 
 
 class Element:
@@ -518,7 +497,7 @@ def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:
     satisfy leg1 o t1 = leg2 o t2.  An apex with two points over one pair
     of projections is refused, as is a pair with no point over it.  Every
     point of T then has exactly one apex point over its pair, so the
-    mediator is unique by construction and paranoid_checks adds nothing.
+    mediator is unique by construction and needs no count.
     """
     if t1.dom != t2.dom:
         raise NotComposable("cone legs must share a domain")

@@ -51,7 +51,6 @@ from .finset import (
     identity_fn,
     lazy_finset,
     mediate,
-    paranoid_enabled,
 )
 
 
@@ -350,7 +349,9 @@ def dpb_compare(d: DistPB, p: FinFn, q: FinFn, r: FinFn
     built or an equal copy; for any other target use dpb_mediate.  The
     candidate (p, q, r) must be a pullback around (f, g); its shape is
     checked here.  Returns (s, t) with d.p o s = p, d.q o s = t o q and
-    d.r o t = r.
+    d.r o t = r.  Every call checks those equations and counts the
+    morphisms into d, so a target that is not chosen, where (s, t) is not
+    a morphism or not the only one, is refused with NotAPullbackAround.
     """
     f, g = d.around_f, d.around_g
     cand = DistPB(f, g, p, q, r)
@@ -362,8 +363,7 @@ def dpb_compare(d: DistPB, p: FinFn, q: FinFn, r: FinFn
     chosen, tidx = _OuterIndex(d.q, compose_fn(g, d.p)), t.idx
     s = FinFn(p.dom, d.X, idx=[chosen[tidx[y], a]
                                for y, a in zip(q.idx, gp.idx)])
-    if paranoid_enabled():
-        _assert_unique_dpb_mediator(d, cand, s, t)
+    _assert_unique_dpb_mediator(d, cand, s, t)
     return s, t
 
 
@@ -398,9 +398,15 @@ def dpb_mediate(d: DistPB, p_cand: FinFn, q_cand: FinFn,
 
 def _assert_unique_dpb_mediator(d: DistPB, cand: DistPB,
                                 s: FinFn, t: FinFn) -> None:
-    """Refuse unless (s, t) is a morphism from cand into d and the only one."""
-    if (compose_fn(d.p, s) != cand.p or compose_fn(d.r, t) != cand.r
-            or compose_fn(d.q, s) != compose_fn(t, cand.q)
+    """Refuse unless (s, t) is a morphism from cand into d and the only one.
+
+    The equations compare position tables, as PullbackSquare.commutes
+    does: d and cand share f and g, and s and t were built into d.
+    """
+    sidx, tidx = s.idx, t.idx
+    if (_take(d.p.idx, sidx) != cand.p.idx
+            or _take(d.r.idx, tidx) != cand.r.idx
+            or _take(d.q.idx, sidx) != _take(tidx, cand.q.idx)
             or _count_dpb_mediators(d, cand) != 1):
         raise NotAPullbackAround("mediator is not unique")
 

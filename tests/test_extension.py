@@ -18,7 +18,6 @@ from polyfin.finset import (
     compose_fn,
     identity_fn,
     mk_finset,
-    paranoid_checks,
 )
 from polyfin.poly import (
     CartesianMorphism,
@@ -147,28 +146,30 @@ class TestNatComponent:
         assert comp.mediating.is_identity
 
     def test_paranoid_search_runs_on_chosen_targets(self, rng, monkeypatch):
-        real = slices._assert_unique_dpb_mediator
-        calls = []
+        # Every comparison into a chosen distributivity pullback is checked
+        # and counted; no mode has to be switched on.
+        checks, counts = [], []
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def recorded(name, seen):
+            real = getattr(slices, name)
 
-        monkeypatch.setattr(slices, "_assert_unique_dpb_mediator", counting)
+            def wrapper(*args):
+                seen.append(real(*args))
+                return seen[-1]
+            monkeypatch.setattr(slices, name, wrapper)
+
+        recorded("_assert_unique_dpb_mediator", checks)
+        recorded("_count_dpb_mediators", counts)
         p, q, r = gen.rand_composable(rng, 3, 2)
-        with paranoid_checks():
-            assert associator(r, q, p).is_iso
-        assert calls
-        calls.clear()
+        assert associator(r, q, p).is_iso
+        assert checks and counts == [1] * len(checks)
+        checks.clear()
+        counts.clear()
         q = gen.rand_poly(rng, 2)
         m = gen.rand_cartesian_into(rng, q, 2)
         x = gen.rand_slice(rng, q.src, 2)
-        with paranoid_checks():
-            nat_component(m, x)
-        assert calls
-        calls.clear()
         nat_component(m, x)
-        assert not calls
+        assert checks and counts == [1] * len(checks)
 
     def test_cross_squares_are_pullbacks(self, rng):
         for _ in range(6):

@@ -1,6 +1,5 @@
 """Base layer: elements, sets, functions, chosen pullbacks."""
 
-import contextvars
 import re
 from itertools import product
 
@@ -32,8 +31,6 @@ from polyfin.finset import (
     mk_finset,
     mk_fn,
     ordered_finset,
-    paranoid_checks,
-    paranoid_enabled,
     pullback,
 )
 
@@ -853,18 +850,8 @@ class TestMediate:
                 FinFn(t, sq.apex, [])
             t1 = compose_fn(sq.proj1, pick)
             t2 = compose_fn(sq.proj2, pick)
-            with paranoid_checks():
-                u = mediate(sq, t1, t2)
+            u = mediate(sq, t1, t2)
             assert u == pick
-
-    def test_paranoid_checks_are_scoped(self):
-        assert not paranoid_enabled()
-        with paranoid_checks():
-            with paranoid_checks():
-                assert paranoid_enabled()
-            assert paranoid_enabled()
-            assert not contextvars.Context().run(paranoid_enabled)
-        assert not paranoid_enabled()
 
     def test_non_cone_rejected(self):
         a, b, c = mk_finset(["a"]), mk_finset(["b"]), mk_finset(["c1", "c2"])

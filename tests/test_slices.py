@@ -23,7 +23,6 @@ from polyfin.finset import (
     identity_fn,
     mk_finset,
     mk_fn,
-    paranoid_checks,
     pullback,
 )
 from polyfin.oracles import pi_make_element, pi_section_value
@@ -644,8 +643,8 @@ class TestDpbMediate:
 
 
 class TestParanoidCount:
-    """Under paranoid_checks, dpb_compare counts the morphisms from its
-    candidate into its target and refuses unless there is exactly one."""
+    """dpb_compare counts the morphisms from its candidate into its
+    target on every call and refuses unless there is exactly one."""
 
     @staticmethod
     def _dpb(points, per_point):
@@ -661,8 +660,7 @@ class TestParanoidCount:
     def test_chosen_target_gives_identity_mediators(self, points,
                                                     per_point):
         d = self._dpb(points, per_point)
-        with paranoid_checks():
-            s, t = dpb_compare(d, d.p, d.q, d.r)
+        s, t = dpb_compare(d, d.p, d.q, d.r)
         assert s.is_identity and t.is_identity
 
     def test_duplicated_target_is_refused(self):
@@ -671,10 +669,41 @@ class TestParanoidCount:
         d = self._dpb(2, 2)
         dup = gen.duplicate_dpb(d, gen.Draws(0))
         assert (len(dup.X), len(dup.Y), len(d.X), len(d.Y)) == (10, 5, 8, 4)
-        dpb_compare(dup, d.p, d.q, d.r)
-        with paranoid_checks(), pytest.raises(
-                NotAPullbackAround, match="mediator is not unique"):
+        with pytest.raises(NotAPullbackAround,
+                           match="mediator is not unique"):
             dpb_compare(dup, d.p, d.q, d.r)
+
+    @staticmethod
+    def _refused_with_y_swapped(d, i, j):
+        # Swapping two points of Y gives a terminal copy of the chosen
+        # distributivity pullback, with one mediator, but the comparison
+        # that dpb_compare builds by section numbering is not a morphism
+        # into it.
+        swap = list(range(len(d.Y)))
+        swap[i], swap[j] = j, i
+        target = DistPB(d.around_f, d.around_g, d.p,
+                        FinFn(d.X, d.Y, idx=[swap[y] for y in d.q.idx]),
+                        FinFn(d.Y, d.r.cod, idx=[d.r.idx[y] for y in swap]))
+        target.validate_shape()
+        assert _count_dpb_mediators(target, d) == 1
+        with pytest.raises(NotAPullbackAround,
+                           match="mediator is not unique"):
+            dpb_compare(target, d.p, d.q, d.r)
+
+    def test_sections_swapped_over_one_point_are_refused(self):
+        # s lands on the swapped sections' points of X, so only
+        # d.p o s = p fails.
+        d = self._dpb(2, 2)
+        self._refused_with_y_swapped(d, *d.r.fiber_positions()[0][:2])
+
+    def test_empty_sections_swapped_across_points_are_refused(self):
+        # The empty sections over b2 and b3 lie under no point of X, so
+        # only d.r o t = r fails.
+        a, b = mk_finset(["a"]), mk_finset(["b1", "b2", "b3"])
+        d = dist_pullback(constant_fn(a, b, Atom("b1")),
+                          constant_fn(mk_finset(["z0", "z1"]), a, Atom("a")))
+        (i,), (j,) = d.r.fiber_positions()[1:]
+        self._refused_with_y_swapped(d, i, j)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
     @settings(max_examples=200, deadline=None, derandomize=True)
