@@ -553,6 +553,30 @@ class TestCheck:
         assert captured.err.splitlines()[-1] == (
             "polyfin: error: unrecognized arguments: --paranoid")
 
+    def test_paranoid_mode_changes_no_output(self, capsys, monkeypatch):
+        # The mediator count that --paranoid used to switch on now runs on
+        # every comparison; the report must equal one made without it.
+        import polyfin.slices
+        calls = []
+        check = polyfin.slices._assert_unique_dpb_mediator
+
+        def counted(*args):
+            calls.append(1)
+            return check(*args)
+
+        argv = ["check", "--law", "all", "--seed", "42", "--cases", "3",
+                "--size", "2"]
+        monkeypatch.setattr(polyfin.slices, "_assert_unique_dpb_mediator",
+                            counted)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and calls
+        monkeypatch.setattr(polyfin.slices, "_assert_unique_dpb_mediator",
+                            lambda *args: None)
+        _, plain, plain_err = run(capsys, *argv)
+        assert plain_err == ""
+        strip = lambda s: re.sub(r'"wall_time_s": [0-9.e-]+', "T", s)
+        assert strip(out) == strip(plain)
+
     def test_all_laws_smoke(self, capsys):
         code, out, _ = run(capsys, "check", "--law", "all", "--seed", "5",
                            "--cases", "2", "--size", "2")
