@@ -1,10 +1,12 @@
 """Evaluation of polynomials on slices and the induced transformations.
 
-A polynomial X <- A -> B -> Y acts on a slice over X by pulling back along
-p1, taking the dependent product along p2 (realized as a distributivity
-pullback so the staging is retained), and post-composing with p3; its
-trace keeps the pullback square and the distributivity pullback as built.
-The action on slice morphisms, the component family of a cartesian
+A polynomial X <- A -> B -> Y acts on a slice over X as the composite
+sigma_p3 pi_p2 delta_p1: pull back along p1, take the dependent product
+along p2, and post-compose with p3.  Its trace keeps the pullback square,
+the dependent product and the output as built.  The distributivity
+pullback that stages the product, which the induced transformations
+read, is built when first read, from the product already built.  The
+action on slice morphisms, the component family of a cartesian
 morphism, and the comparison between iterated and composite evaluation
 are all computed by the same mediation machinery as composition itself.
 """
@@ -12,7 +14,9 @@ are all computed by the same mediation machinery as composition itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from . import slices
 from .errors import NotCartesian, NotComposable
 from .finset import FinFn, PullbackSquare, compose_fn, mediate
 from .poly import (
@@ -28,7 +32,6 @@ from .slices import (
     SliceMor,
     SliceObj,
     delta_mor,
-    dist_pullback,
     dpb_compare,
     pullback_square_for_delta,
     sigma,
@@ -40,16 +43,25 @@ from .slices import (
 
 @dataclass(frozen=True)
 class EvalTrace:
-    """One evaluation of p at x, its three stages as built.
+    """One evaluation of p at x, its three stages, dpb built when first read.
 
     delta pulls x's arrow (leg1) back along p1: apex C2, counit proj1 and
-    arrow proj2.  dpb is that arrow's distributivity pullback along p2
-    (X = C3, Y = C4), and output is dpb.r post-composed with p3.
+    arrow proj2.  product is pi(p2, SliceObj(delta.proj2)), its carrier
+    C4, and output is its arrow post-composed with p3.  dpb is delta's
+    arrow's distributivity pullback along p2 (X = C3, Y = C4), with r the
+    product's arrow: equal to dist_pullback(p2, delta.proj2), and no pi
+    is built again.
     """
 
     delta: PullbackSquare
-    dpb: DistPB
+    p2: FinFn
+    product: SliceObj
     output: SliceObj
+
+    @cached_property
+    def dpb(self) -> DistPB:
+        return slices._dist_pullback_over(self.p2, self.delta.proj2,
+                                          self.product)
 
 
 @dataclass(frozen=True)
@@ -69,9 +81,10 @@ def eval_obj(p: Polynomial, x: SliceObj) -> tuple[SliceObj, EvalTrace]:
     if x.base != p.src:
         raise NotComposable("slice must live over the polynomial's source")
     dsq = pullback_square_for_delta(p.p1, x)
-    d = dist_pullback(p.p2, dsq.proj2)
-    out = sigma(p.p3, SliceObj(d.r))
-    return out, EvalTrace(dsq, d, out)
+    # Read through the module, so that a patched slices.pi reaches here.
+    prod = slices.pi(p.p2, SliceObj(dsq.proj2))
+    out = sigma(p.p3, prod)
+    return out, EvalTrace(dsq, p.p2, prod, out)
 
 
 def eval_mor(p: Polynomial, h: SliceMor) -> SliceMor:

@@ -315,10 +315,14 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     (1, 1, g); for g an identity it is (1, f, 1).  p is decoded on
     positions (_Sections.odometer), so neither X nor Y is built.
     """
-    from .finset import pullback
     if g.cod != f.dom:
         raise NotComposable("g must land in the domain of f")
-    yslice = pi(f, SliceObj(g))
+    return _dist_pullback_over(f, g, pi(f, SliceObj(g)))
+
+
+def _dist_pullback_over(f: FinFn, g: FinFn, yslice: SliceObj) -> DistPB:
+    """dist_pullback(f, g), given yslice = pi(f, SliceObj(g)) as built."""
+    from .finset import pullback
     sq = pullback(f, yslice.arrow)
     p = FinFn(sq.apex, g.dom, idx=_Sections(f, g).odometer(
         sq.proj1.idx, sq.proj2.idx, yslice.arrow.fiber_positions()))
@@ -401,7 +405,13 @@ def _assert_unique_dpb_mediator(d: DistPB, cand: DistPB,
     """Refuse unless (s, t) is a morphism from cand into d and the only one.
 
     The equations compare position tables, as PullbackSquare.commutes
-    does: d and cand share f and g, and s and t were built into d.
+    does: d and cand share f and g, and s and t were built into d.  When
+    dpb_compare calls this, d.q o s = t o cand.q holds by construction:
+    s(x) is the point that d's own index, keyed by (d.q, g o d.p), holds
+    at (t(cand.q x), g(cand.p x)), so d.q(s x) = t(cand.q x).  It is
+    still checked, at one gather, so that this refuses any (s, t) that
+    is not a morphism, whoever built it; the other two equations and the
+    count are what a target that is not chosen fails.
     """
     sidx, tidx = s.idx, t.idx
     if (_take(d.p.idx, sidx) != cand.p.idx
@@ -423,12 +433,54 @@ def _count_dpb_mediators(d: DistPB, cand: DistPB) -> int:
         prod_y sum_{t_y in d.r^-1(cand.r y)} prod_{x in cand.q^-1(y)}
             #{x' : d.p x' = cand.p x, d.q x' = t_y},
 
-    read off one Counter of d's (p, q) position pairs.
+    read off one Counter of d's (p, q) position pairs.  That sum is
+    quadratic when cand is as large as d.  So when every t of d's Y is a
+    section of g over f's fiber, as in the chosen d, and the x over y are
+    one over each a of that fiber, y's term is one lookup: the product
+    is 1 for the t_y that is the same section as y and 0 for the rest.
     """
     over = Counter(zip(d.p.idx, d.q.idx))
     ts, xs, p = d.r.fiber_positions(), cand.q.fiber_positions(), cand.p.idx
-    return prod(sum(prod(over[p[x], ty] for x in xs[y]) for ty in ts[r])
-                for y, r in enumerate(cand.r.idx))
+    fibers, g = d.around_f.fiber_positions(), d.around_g.idx
+    # The sum takes at most |d.Y| * (|cand.X| + |cand.Y|) steps, which
+    # below 64 cost less than reading the sections.
+    sections = (None if len(d.r.idx) * (len(p) + len(xs)) <= 64
+                else _section_counts(d))
+
+    def term(y: int, r: int) -> int:
+        if sections is not None:
+            section = _as_section(_take(p, xs[y]), g, fibers[r])
+            if section is not None:
+                return sections[r, section]
+        return sum(prod(over[p[x], ty] for x in xs[y]) for ty in ts[r])
+
+    return prod(term(y, r) for y, r in enumerate(cand.r.idx))
+
+
+def _section_counts(d: DistPB) -> Counter | None:
+    """How many t of d's Y are each (d.r t, section), or None if some t
+    is not a section (_as_section of the d.p values over it)."""
+    fibers, g, dp, sections = (d.around_f.fiber_positions(),
+                               d.around_g.idx, d.p.idx, Counter())
+    for r, xs in zip(d.r.idx, d.q.fiber_positions()):
+        section = _as_section(_take(dp, xs), g, fibers[r])
+        if section is None:
+            return None
+        sections[r, section] += 1
+    return sections
+
+
+def _as_section(zs: tuple[int, ...], g: tuple[int, ...],
+                fiber: list[int]) -> tuple[int, ...] | None:
+    """zs as a section of g over fiber, listed in the fiber's order.
+
+    None unless g sends the points zs one to each point of fiber.
+    """
+    values = dict(zip(_take(g, zs), zs))
+    section = tuple(map(values.get, fiber))
+    if len(section) == len(zs) and None not in section:
+        return section
+    return None
 
 
 def _all_fns(dom: FinSetObj, cod: FinSetObj):

@@ -1,6 +1,9 @@
 """Helpers shared by the test modules."""
 
+import sys
+from collections import Counter
 from contextlib import contextmanager
+from math import prod
 from unittest import mock
 
 import polyfin.finset
@@ -44,6 +47,40 @@ def enumerated_dpb_mediators(d: DistPB, cand: DistPB) -> int:
                     and compose_fn(d.q, s) == compose_fn(t, cand.q)):
                 hits += 1
     return hits
+
+
+def summed_dpb_mediators(d: DistPB, cand: DistPB) -> int:
+    """Reference for slices._count_dpb_mediators at any size: for each y
+    of cand's Y, sum over the t over cand.r(y) the product over the x
+    over y of the points x' of d.X with (d.p x', d.q x') = (cand.p x, t)."""
+    over = Counter(zip(d.p.idx, d.q.idx))
+    ts, xs, p = d.r.fiber_positions(), cand.q.fiber_positions(), cand.p.idx
+    return prod(sum(prod(over[p[x], t] for x in xs[y]) for t in ts[r])
+                for y, r in enumerate(cand.r.idx))
+
+
+@contextmanager
+def counted_lines(module):
+    """Count the lines of module's source that run while the block runs.
+
+    Yields a one-element list holding the count.  Each pass through a loop
+    body counts its lines again, so the count measures the steps taken.
+    """
+    steps, path = [0], module.__file__
+
+    def line(frame, event, arg):
+        steps[0] += event == "line"
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == path else None
+
+    old = sys.gettrace()
+    sys.settrace(call)
+    try:
+        yield steps
+    finally:
+        sys.settrace(old)
 
 
 @contextmanager

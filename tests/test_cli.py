@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -490,6 +491,34 @@ class TestEval:
         stages = traces[-1]
         assert any(t is stages.dpb.X.elements for t in built)
         assert any(t is stages.dpb.Y.elements for t in built)
+
+    @pytest.mark.parametrize("flags, dpbs", [([], 0), (["--trace"], 1)])
+    def test_one_pi_per_evaluation(self, capsys, tmp_path, monkeypatch,
+                                   flags, dpbs):
+        # eval_obj computes sigma pi delta; the distributivity pullback is
+        # built only when --trace reads it, and from the pi already built.
+        import polyfin.slices
+        import polyfin.symbolic
+        calls = Counter()
+
+        def count_calls(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        count_calls(polyfin.symbolic, "eval_obj")
+        for name in ("pi", "dist_pullback", "_dist_pullback_over"):
+            count_calls(polyfin.slices, name)
+        f1 = tmp_path / "p.json"
+        run(capsys, "encode", EXPR, "--in", "w,x,y,z", "-o", str(f1))
+        code, out, _ = run(capsys, "eval", str(f1), "--assign",
+                           "w=2,x=2,y=3,z=2", *flags)
+        assert code == 0
+        assert json.loads(out)["counts"] == {"out1": 26, "out2": 27}
+        assert calls == Counter(eval_obj=1, pi=1, _dist_pullback_over=dpbs)
 
     def test_trace_included(self, capsys, tmp_path):
         f1 = tmp_path / "p.json"

@@ -1,6 +1,8 @@
 """Evaluation of polynomials on slices and the induced transformations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyfin import gen, slices
 from polyfin.errors import NotCartesian, NotComposable
@@ -28,7 +30,14 @@ from polyfin.poly import (
     is_cartesian,
 )
 from polyfin.oracles import coherence_component_direct
-from polyfin.slices import SliceMor, slice_homset, terminal_slice
+from polyfin.slices import (
+    SliceMor,
+    SliceObj,
+    dist_pullback,
+    sigma,
+    slice_homset,
+    terminal_slice,
+)
 from polyfin.symbolic import (
     encode,
     eval_sym,
@@ -85,6 +94,32 @@ class TestEvalObj:
         other = gen.rand_set(rng, 2, "other")
         with pytest.raises(NotComposable):
             eval_obj(p, terminal_slice(other))
+
+
+class TestEvalTrace:
+    """eval_obj computes sigma_p3 pi_p2 delta_p1; the trace builds the
+    distributivity pullback when its dpb is first read."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_dpb_is_the_chosen_distributivity_pullback(self, seed, size):
+        rng = gen.Draws(seed)
+        p = gen.rand_poly(rng, size)
+        x = gen.rand_slice(rng, p.src, size)
+        out, trace = eval_obj(p, x)
+        d = trace.dpb
+        assert d == dist_pullback(p.p2, trace.delta.proj2)
+        assert d.r is trace.product.arrow and trace.dpb is d
+        assert out == trace.output == sigma(p.p3, SliceObj(d.r))
+
+    def test_pi_is_looked_up_through_slices(self, monkeypatch):
+        p = encode(parse_poly(EXPR, in_vars=VARS))
+        x = fiber_slice(p, dict.fromkeys(VARS, 2))
+        real, _ = eval_obj(p, x)
+        monkeypatch.setattr(slices, "pi",
+                            lambda f, y: terminal_slice(f.cod))
+        out, _ = eval_obj(p, x)
+        assert out == sigma(p.p3, terminal_slice(p.p2.cod)) != real
 
 
 class TestEvalMor:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyfin import gen
+from polyfin import gen, slices
 from polyfin.errors import (
     IllFormedFunction,
     NotAPullbackAround,
@@ -51,7 +51,13 @@ from polyfin.slices import (
     terminal_slice,
 )
 
-from support import constant_fn, enumerated_dpb_mediators, recorded_builds
+from support import (
+    constant_fn,
+    counted_lines,
+    enumerated_dpb_mediators,
+    recorded_builds,
+    summed_dpb_mediators,
+)
 
 
 def const_slice(tag, n, base, point):
@@ -718,6 +724,71 @@ class TestParanoidCount:
             if space <= 100_000:
                 assert (_count_dpb_mediators(target, cand)
                         == enumerated_dpb_mediators(target, cand))
+
+
+class TestSectionCount:
+    """On a section-like target the mediator count reads one signature
+    per point, so it takes linear time and equals the fiber sum."""
+
+    def test_625_sections_take_linear_steps(self):
+        # Y holds 5^4 = 625 sections over one point and X 2,500 points.
+        # The fiber sum takes 625 * 625 * 4 steps here.
+        d = TestParanoidCount._dpb(4, 5)
+        assert (len(d.X), len(d.Y)) == (2500, 625)
+        with counted_lines(slices) as steps:
+            assert _count_dpb_mediators(d, d) == 1
+        assert steps[0] <= 10 * (len(d.X) + len(d.Y))
+
+    @staticmethod
+    def _wide_dpb(rng):
+        # f : A -> B with g's fibers of 2 or 3 points, so that Y is large
+        # enough for the count to read signatures.
+        a = gen.rand_set(rng, 4, "a", min_size=3)
+        z = FinSetObj([Pair(e, Atom(str(i))) for e in a
+                       for i in range(rng.randint(2, 3))])
+        g = FinFn(z, a, [(e, e.left) for e in z])
+        return dist_pullback(gen.rand_fn(rng, a, gen.rand_set(rng, 2, "b")),
+                             g)
+
+    @staticmethod
+    def _over(d, pq, rng):
+        # d with X replaced by points with these (p, q) positions.
+        x2 = gen.fresh_set(rng, len(pq), "x")
+        return DistPB(d.around_f, d.around_g,
+                      FinFn(x2, d.p.cod, idx=[z for z, _ in pq]),
+                      FinFn(x2, d.Y, idx=[y for _, y in pq]), d.r)
+
+    def _fattened(self, d, rng):
+        # A second point of X with the same p and q: not section-like.
+        pq = list(zip(d.p.idx, d.q.idx))
+        return self._over(d, pq + [rng.choice(pq)], rng)
+
+    def _perturbed(self, d, rng):
+        # One point of X given another value of p, dropped, or added
+        # beside it with a random value of p.
+        pq = list(zip(d.p.idx, d.q.idx))
+        i, z = rng.randrange(len(pq)), rng.randrange(len(d.p.cod))
+        change = rng.randrange(3)
+        if change == 0:
+            pq[i] = z, pq[i][1]
+        elif change == 1:
+            del pq[i]
+        else:
+            pq.append((z, pq[i][1]))
+        return self._over(d, pq, rng)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_count_equals_the_fiber_sum(self, seed):
+        rng = gen.Draws(seed)
+        d = self._wide_dpb(rng)
+        family = [e for e in (d, gen.duplicate_dpb(d, rng),
+                              gen.shrink_dpb(d, rng), self._fattened(d, rng),
+                              *(self._perturbed(d, rng) for _ in range(3)))
+                  if e is not None]
+        for target, cand in product(family, repeat=2):
+            assert (_count_dpb_mediators(target, cand)
+                    == summed_dpb_mediators(target, cand))
 
 
 class TestBeckChevalley:
