@@ -6,6 +6,12 @@ success, 1 when a law run found failures, 2 for text or JSON parse
 problems (an input file that cannot be read or is not UTF-8 included) and
 for an output file that cannot be written, 3 for composition boundary
 mismatches, 4 for bad evaluation input.
+
+Each run builds one parser: that of the command its first argument names.
+The full parser, every command under one usage line, is built only for
+top-level help, a missing or unknown command and arguments the command
+does not take, so it alone prints those usage and error texts.  Run it as
+``polyfin`` or ``python -m polyfin``.
 """
 
 from __future__ import annotations
@@ -169,58 +175,102 @@ def cmd_list_laws(args) -> int:
     return 0
 
 
+def _encode_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("text")
+    parser.add_argument("--in", dest="in_vars", default=None,
+                        help="comma-separated input variables")
+    parser.add_argument("--out", dest="out_names", default=None,
+                        help="comma-separated output names")
+
+
+def _decode_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("file")
+
+
+def _compose_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("files", nargs="+")
+
+
+def _eval_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--assign", required=True,
+                        help="comma-separated var=value pairs")
+    parser.add_argument("--trace", action="store_true",
+                        help="include the staged evaluation data")
+
+
+def _check_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--law", default="all")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--size", type=_at_least(1), default=3)
+    parser.add_argument("--cases", type=_at_least(0), default=50)
+
+
+# Each command: its name, its help line, what adds its arguments (every
+# command also takes -o/--output, added last) and the name of its handler.
+_COMMANDS = (
+    ("encode", "encode a polynomial expression", _encode_arguments,
+     "cmd_encode"),
+    ("decode", "decode a diagram back to text", _decode_arguments,
+     "cmd_decode"),
+    ("compose", "compose diagram files in order", _compose_arguments,
+     "cmd_compose"),
+    ("eval", "evaluate a diagram on fiber sizes", _eval_arguments,
+     "cmd_eval"),
+    ("check", "run law checks with seeded instances", _check_arguments,
+     "cmd_check"),
+    ("list-laws", "print the law registry", lambda parser: None,
+     "cmd_list_laws"),
+)
+
+
+def _add_command(parser: argparse.ArgumentParser, add_arguments,
+                 handler: str) -> argparse.ArgumentParser:
+    add_arguments(parser)
+    parser.add_argument("-o", "--output", default=None)
+    # Looked up as each parser is built, so a replaced cmd_* is the one run.
+    parser.set_defaults(func=globals()[handler])
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, under one polyfin usage line."""
     parser = argparse.ArgumentParser(
         prog="polyfin",
         description="polynomial diagrams over finite sets: encode, compose, "
                     "evaluate and law-check")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    enc = sub.add_parser("encode", help="encode a polynomial expression")
-    enc.add_argument("text")
-    enc.add_argument("--in", dest="in_vars", default=None,
-                     help="comma-separated input variables")
-    enc.add_argument("--out", dest="out_names", default=None,
-                     help="comma-separated output names")
-    enc.add_argument("-o", "--output", default=None)
-    enc.set_defaults(func=cmd_encode)
-
-    dec = sub.add_parser("decode", help="decode a diagram back to text")
-    dec.add_argument("file")
-    dec.add_argument("-o", "--output", default=None)
-    dec.set_defaults(func=cmd_decode)
-
-    comp = sub.add_parser("compose", help="compose diagram files in order")
-    comp.add_argument("files", nargs="+")
-    comp.add_argument("-o", "--output", default=None)
-    comp.set_defaults(func=cmd_compose)
-
-    ev = sub.add_parser("eval", help="evaluate a diagram on fiber sizes")
-    ev.add_argument("file")
-    ev.add_argument("--assign", required=True,
-                    help="comma-separated var=value pairs")
-    ev.add_argument("--trace", action="store_true",
-                    help="include the staged evaluation data")
-    ev.add_argument("-o", "--output", default=None)
-    ev.set_defaults(func=cmd_eval)
-
-    chk = sub.add_parser("check", help="run law checks with seeded instances")
-    chk.add_argument("--law", default="all")
-    chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--size", type=_at_least(1), default=3)
-    chk.add_argument("--cases", type=_at_least(0), default=50)
-    chk.add_argument("-o", "--output", default=None)
-    chk.set_defaults(func=cmd_check)
-
-    lst = sub.add_parser("list-laws", help="print the law registry")
-    lst.add_argument("-o", "--output", default=None)
-    lst.set_defaults(func=cmd_list_laws)
+    for name, help_text, add_arguments, handler in _COMMANDS:
+        _add_command(sub.add_parser(name, help=help_text), add_arguments,
+                     handler)
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser | None:
+    """The parser of the command called name alone, or None if there is no
+    such command.  Its help and usage are those of build_parser's
+    subparser for the command."""
+    for command, _, add_arguments, handler in _COMMANDS:
+        if command == name:
+            return _add_command(
+                argparse.ArgumentParser(prog=f"polyfin {name}"),
+                add_arguments, handler)
+    return None
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = _command_parser(argv[0]) if argv else None
+    if parser is not None:
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    # Top-level help, a missing or unknown command and arguments the command
+    # does not take: the full parser prints its usage and error text.
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

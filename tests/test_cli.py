@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -11,15 +12,23 @@ from collections import Counter
 import pytest
 
 import polyfin
-from polyfin import jsonio
+from polyfin import cli, jsonio
 from polyfin.cli import main
 from polyfin.errors import ParseError
 from polyfin.extension import eval_obj
+from polyfin.laws import LAWS
 from polyfin.poly import compose_seq
 
 from support import recorded_builds
 
 EXPR = "x^3y + 2 ; 3x^2z + y"
+
+
+def _child_env():
+    """The environment for a child python that imports this polyfin."""
+    src = os.path.dirname(os.path.dirname(polyfin.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -124,12 +133,9 @@ class TestUnwritableOutput:
         # writes, so its writes fail with a broken pipe.
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = os.path.dirname(os.path.dirname(polyfin.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "polyfin.cli", *argv], env=env,
+                [sys.executable, "-m", "polyfin.cli", *argv], env=_child_env(),
                 stdout=write_end, stderr=subprocess.PIPE, timeout=60)
         finally:
             os.close(write_end)
@@ -642,3 +648,78 @@ class TestListLaws:
                      "cartesian-image", "faithful", "conservative",
                      "oracle-agreement", "roundtrip", "substitution"):
             assert name in data
+
+
+def _exit(capsys, parse, argv):
+    """Exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+class TestParsers:
+    """A run builds the named command's parser alone; it must print what
+    build_parser() does.  Compared at run time, since argparse's text
+    differs between Python versions."""
+
+    @pytest.mark.parametrize("name", [c[0] for c in cli._COMMANDS])
+    def test_command_parser_matches_the_subparser(self, name):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        alone = cli._command_parser(name)
+        assert alone.format_help() == sub.choices[name].format_help()
+        assert alone.format_usage() == sub.choices[name].format_usage()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["ev"], ["eval"], ["eval", "-h"],
+        ["eval", "f", "--assign"], ["eval", "--", "-x", "--assign", "x=1"],
+        ["check", "--size", "0"], ["check", "--paranoid"],
+        ["compose"], ["encode", "--in"], ["list-laws", "extra"],
+        ["list-laws", "-h"]])
+    def test_help_usage_and_errors_match_the_full_parser(self, capsys,
+                                                          argv):
+        assert _exit(capsys, main, argv) == _exit(
+            capsys, lambda a: cli.build_parser().parse_args(a), argv)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of every ArgumentParser built, in order."""
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        return progs
+
+    def test_a_well_formed_run_builds_one_parser(self, capsys, tmp_path,
+                                                 built):
+        path = tmp_path / "p.json"
+        run(capsys, "encode", EXPR, "--in", "w,x,y,z", "-o", str(path))
+        code, out, _ = run(capsys, "eval", str(path), "--assign",
+                           "w=1,x=2,y=3,z=4", "--trace")
+        assert code == 0 and json.loads(out)["counts"]
+        assert built == ["polyfin encode", "polyfin eval"]
+
+    def test_leftover_arguments_reach_the_full_parser(self, capsys, built):
+        code, _, err = _exit(capsys, main, ["check", "--paranoid"])
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "polyfin: error: unrecognized arguments: --paranoid")
+        assert built[:2] == ["polyfin check", "polyfin"]
+
+    def test_handlers_are_bound_when_the_parser_is_built(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "cmd_list_laws", lambda args: 7)
+        assert run(capsys, "list-laws") == (7, "", "")
+
+    def test_python_m_polyfin(self):
+        proc = subprocess.run([sys.executable, "-m", "polyfin", "list-laws"],
+                              env=_child_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout) == {
+            name: desc for name, (desc, _) in LAWS.items()}
