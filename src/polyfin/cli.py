@@ -37,18 +37,18 @@ from .symbolic import decode, encode, eval_with_trace, parse_poly
 
 
 def _emit(data, out_path: str | None) -> None:
-    """Write json.dumps(data, indent=2, sort_keys=True) and a newline."""
+    """Write json.dumps(data, indent=2, sort_keys=True) and a newline, as
+    one string (jsonio.to_text) in one write."""
+    text = jsonio.to_text(data) + "\n"
     if out_path and out_path != "-":
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(text)
         except OSError as exc:
             raise OutputError(f"cannot write {out_path}: {exc}") from exc
     else:
         try:
-            json.dump(data, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
             # What is still buffered would fail again in the flush at exit

@@ -34,7 +34,15 @@ A set may also be lazy (lazy_finset): its size is known up front and its
 elements are built on first read.  pullback's apex is lazy, so a caller
 that only reads position tables never builds a Pair.  Every carrier that
 does get built goes through ordered_finset, so the positions the tables
-were computed against are checked to be the canonical ones.
+were computed against are checked to be the canonical ones.  What builds
+a library-made lazy set is a recipe, a callable object whose fields say
+how the set is made: ApexRecipe lists a pullback apex as pairs of
+positions in its legs' domains, and slices.SectionsRecipe a dependent
+product's carrier by its section numbering.  So a reader such as the
+JSON writer can name an element by its place in those tables without
+building the set, and checks the canonical order on the positions
+instead.  Like a closure, the recipe is dropped once the set is built,
+so it keeps nothing alive past that.
 
 mediate's map into a pullback apex is unique by construction, so nothing
 re-verifies it; slices.dpb_compare counts its mediators on every call.
@@ -43,7 +51,7 @@ re-verifies it; slices.dpb_compare counts its mediators on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, is_, itemgetter, lt
+from operator import attrgetter, is_, itemgetter, le, lt
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -196,7 +204,8 @@ class _LazyFinSet(FinSetObj):
     """A FinSetObj of known size whose elements are built on first read.
 
     __getattr__ runs only while the elements and _index slots are unset;
-    it fills both from ordered_finset(build()) and then drops build.
+    it fills both from ordered_finset(build()) and then drops build, a
+    closure or a recipe.
     """
 
     __slots__ = ("_size", "_build")
@@ -227,6 +236,27 @@ def lazy_finset(size: int, build: Callable[[], list[Element]]) -> FinSetObj:
     nothing to build and is returned as it is.
     """
     return _LazyFinSet(size, build) if size else FinSetObj(())
+
+
+def pending_build(s: FinSetObj) -> Callable[[], list[Element]] | None:
+    """What will build s, a recipe or a closure; None once s is built, and
+    for a set made eagerly."""
+    return getattr(s, "_build", None)
+
+
+class ApexRecipe:
+    """How pullback lists its apex: point i is Pair(ldom[left[i]],
+    rdom[right[i]]), where left and right are the projections' tables."""
+
+    __slots__ = ("ldom", "left", "rdom", "right")
+
+    def __init__(self, ldom: FinSetObj, left: tuple[int, ...],
+                 rdom: FinSetObj, right: tuple[int, ...]):
+        self.ldom, self.left, self.rdom, self.right = ldom, left, rdom, right
+
+    def __call__(self) -> list[Element]:
+        ld, rd = self.ldom.elements, self.rdom.elements
+        return [Pair(ld[i], rd[k]) for i, k in zip(self.left, self.right)]
 
 
 class FinFn:
@@ -452,12 +482,7 @@ def pullback(f: FinFn, g: FinFn) -> PullbackSquare:
         apex = f.dom
         return PullbackSquare(apex, identity_fn(apex), f, f, g)
     left, right = _matching_pairs(f, g)
-
-    def build() -> list[Element]:
-        fd, gd = f.dom.elements, g.dom.elements
-        return [Pair(fd[i], gd[k]) for i, k in zip(left, right)]
-
-    apex = lazy_finset(len(left), build)
+    apex = lazy_finset(len(left), ApexRecipe(f.dom, left, g.dom, right))
     proj1 = _trusted_fn(apex, f.dom, left)
     proj2 = _trusted_fn(apex, g.dom, right)
     return PullbackSquare(apex, proj1, proj2, f, g)
@@ -475,19 +500,30 @@ def check_pullback(sq: PullbackSquare) -> bool:
     enumerated from the legs alone in the order pullback emits them
     (_matching_pairs), is accepted at once, and so is its transpose: a
     composite's last stage and pullback(id, g) list the pairs of the
-    swapped cospan.  Any other square is decided by counting: once it
-    commutes every image is a matching pair, so the map is a bijection
-    exactly when its images are distinct and as many as the matching
-    pairs.  Neither path calls pullback, so a replaced pullback cannot
-    vouch for its own squares.
+    swapped cospan.  An enumeration ascends in its first table, so the
+    swapped one is made only when proj2's table does not decrease; the
+    direct one is tried without that scan, which would cost a quarter of
+    the enumeration on the squares that match it.  Any other square
+    is decided by counting: once it commutes every image is a matching
+    pair, so the map is a bijection exactly when its images are distinct
+    and as many as the matching pairs, which the fiber sizes give.
+    Neither path calls pullback, so a replaced pullback cannot vouch for
+    its own squares.
     """
     p1, p2 = _square_positions(sq)
-    pairs = _matching_pairs(sq.leg1, sq.leg2)
-    if (p1, p2) == pairs or (p2, p1) == _matching_pairs(sq.leg2, sq.leg1):
+    l1, l2 = sq.leg1, sq.leg2
+    if (_ascending(p2) and (p2, p1) == _matching_pairs(l2, l1)
+            or (p1, p2) == _matching_pairs(l1, l2)):
         return True
     if not sq.commutes():
         raise NotASquare("square does not commute")
-    return len(p1) == len(set(zip(p1, p2))) == len(pairs[0])
+    matching = sum(map(len, _take(l2.fiber_positions(), l1.idx)))
+    return len(p1) == len(set(zip(p1, p2))) == matching
+
+
+def _ascending(table: tuple[int, ...]) -> bool:
+    """Whether table never decreases."""
+    return all(map(le, table, table[1:]))
 
 
 def mediate(sq: PullbackSquare, t1: FinFn, t2: FinFn) -> FinFn:

@@ -15,11 +15,32 @@ Only version 2 is read.  A payload without ``"version"`` (the nested form
 written before node tables) is refused like any other unknown version;
 ``encode`` or ``compose`` regenerates it.  Any file that breaks a rule of
 the format raises ParseError.
+
+The writer gives each node an id by hash-consing: a node is keyed by its
+tuple, ("atom", token), ("pair", l, r) or ("sect", ((k, v), ...)), so
+equal elements share one id whichever set reaches them.  A set that is
+not built yet and was made by a recipe (finset.ApexRecipe for a pullback
+apex, slices.SectionsRecipe for a dependent product's carrier) is read by
+position from its recipe, and nothing is built: an apex point is the
+pair of its projections' positions, a section is decoded from its
+number.  The positions are checked instead of the built set: an apex's
+projection pairs must strictly ascend and a carrier's numbering must not
+go back to an earlier point of the base, or the write fails as
+ordered_finset would.  Any other set is walked element by element.  Both
+walks emit nodes in the post-order of a left-to-right walk of the
+elements.  to_text renders a payload as json.dumps(indent=2,
+sort_keys=True) does, byte for byte.  The reader builds one set per
+distinct id array, and reads a function's map as its position table when
+the dom and cod arrays are in canonical order.  Each of these tables lives
+for one call only.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
+from operator import is_, le, lt
 from typing import Any, Iterator
 
 from .errors import (
@@ -29,19 +50,141 @@ from .errors import (
     ParseError,
 )
 from .extension import EvalTrace
-from .finset import Atom, Element, FinFn, FinSetObj, Pair, Sect
+from .finset import (
+    ApexRecipe,
+    Atom,
+    Element,
+    FinFn,
+    FinSetObj,
+    Pair,
+    Sect,
+    _take,
+    pending_build,
+)
 from .poly import CartesianMorphism, Polynomial, SubdividedComposite
-from .slices import DistPB
+from .slices import DistPB, SectionsRecipe
+
+
+class _Walk:
+    """The node ids of a set's positions, filled in as a write reaches them.
+
+    The base class stands for a set walked by element: one that is built,
+    was made eagerly, or has a build the writer cannot read.  The walks of
+    the sets a recipe reads are looked up on the first read, not before,
+    so a deep tower of recipes costs no recursion.
+    """
+
+    __slots__ = ("s", "ids", "kids")
+
+    def __init__(self, s: FinSetObj):
+        self.s, self.ids, self.kids = s, [None] * len(s), None
+
+    def id_at(self, w: "_Writer", i: int) -> int:
+        """The node id at position i, once its parts have ids."""
+        return w.element(self.s.elements[i])
+
+    def parts(self, w: "_Writer", i: int) -> tuple:
+        return ()
+
+
+class _ApexWalk(_Walk):
+    """An unbuilt pullback apex: point i is the pair of its projections."""
+
+    __slots__ = ("recipe",)
+
+    def __init__(self, s: FinSetObj, recipe: ApexRecipe):
+        left, right = recipe.left, recipe.right
+        pairs = list(zip(left, right))
+        _check_canonical(len(left) == len(right) == len(s),
+                         all(map(lt, pairs, pairs[1:])))
+        super().__init__(s)
+        self.recipe = recipe
+
+    def parts(self, w: "_Writer", i: int) -> tuple:
+        r = self.recipe
+        if self.kids is None:
+            self.kids = w.walk(r.ldom), w.walk(r.rdom)
+        lw, rw = self.kids
+        return (lw, r.left[i]), (rw, r.right[i])
+
+    def id_at(self, w: "_Writer", i: int) -> int:
+        lw, rw = self.kids
+        r = self.recipe
+        return w.node(("pair", lw.ids[r.left[i]], rw.ids[r.right[i]]))
+
+
+class _SectionsWalk(_Walk):
+    """An unbuilt dependent-product carrier: section i is Pair(b, Sect(...))
+    with b and the section's values decoded from its number."""
+
+    __slots__ = ("recipe", "numbering")
+
+    def __init__(self, s: FinSetObj, recipe: SectionsRecipe):
+        numbering = recipe.numbering()
+        offset = numbering.offset
+        _check_canonical(offset[-1] == len(s),
+                         all(map(le, offset, offset[1:])))
+        super().__init__(s)
+        self.recipe, self.numbering = recipe, numbering
+
+    def parts(self, w: "_Writer", i: int) -> list:
+        f, x = self.recipe.f, self.recipe.x
+        if self.kids is None:
+            self.kids = w.walk(f.cod), w.walk(f.dom), w.walk(x.dom)
+        bw, aw, vw = self.kids
+        b, values = self.numbering.section(i)
+        parts = [(bw, b)]
+        for a, v in zip(self.numbering.fibers[b], values):
+            parts += (aw, a), (vw, v)
+        return parts
+
+    def id_at(self, w: "_Writer", i: int) -> int:
+        bw, aw, vw = self.kids
+        b, values = self.numbering.section(i)
+        aids, vids = aw.ids, vw.ids
+        sect = w.node(("sect", tuple((aids[a], vids[v]) for a, v in zip(
+            self.numbering.fibers[b], values))))
+        return w.node(("pair", bw.ids[b], sect))
+
+
+def _check_canonical(sized: bool, ordered: bool) -> None:
+    """What ordered_finset and the lazy build check, for a set read from
+    its recipe: as many elements as promised, in canonical order."""
+    if not sized:
+        raise AssertionError("construction emitted the wrong number "
+                             "of elements")
+    if not ordered:
+        raise AssertionError("construction did not emit canonical order")
 
 
 class _Writer:
-    """One payload's node table; ids maps each element to its node id."""
+    """One payload's node table, built by one write.
 
-    __slots__ = ("ids", "nodes")
+    nodes holds one node per distinct element, children first.  table maps
+    each node as a tuple, ("atom", token), ("pair", l, r) or
+    ("sect", ((k, v), ...)), to its id, so equal elements get one id
+    whichever path reaches them.  ids remembers the id of each element
+    walked by element, and walks the node ids by position of each set
+    reached, keyed by id(set); each walk holds its set, so no id is reused
+    while the write runs, and a part two sets share is walked once.
+    """
+
+    __slots__ = ("ids", "nodes", "table", "walks")
 
     def __init__(self) -> None:
         self.ids: dict[Element, int] = {}
         self.nodes: list[list] = []
+        self.table: dict[tuple, int] = {}
+        self.walks: dict[int, _Walk] = {}
+
+    def node(self, node: tuple) -> int:
+        """The id of node, added to the table if it is new."""
+        i = self.table.get(node)
+        if i is None:
+            i = self.table[node] = len(self.nodes)
+            self.nodes.append(["sect", list(map(list, node[1]))]
+                              if node[0] == "sect" else list(node))
+        return i
 
     def element(self, e: Element) -> int:
         """Node id of e, adding e and its unseen parts children first.
@@ -49,7 +192,7 @@ class _Writer:
         Iterative, so nesting depth is not bounded by the recursion limit;
         nodes come out in the post-order of a left-to-right recursive walk.
         """
-        ids, nodes = self.ids, self.nodes
+        ids = self.ids
         i = ids.get(e)
         if i is not None:
             return i
@@ -65,23 +208,59 @@ class _Writer:
                 if right is None:
                     stack.append(top.right)
                     continue
-                node = ["pair", left, right]
+                node = ("pair", left, right)
             elif isinstance(top, Atom):
-                node = ["atom", top.token]
+                node = ("atom", top.token)
             else:
                 unseen = [c for kv in top.entries for c in kv if c not in ids]
                 if unseen:
                     stack.extend(reversed(unseen))
                     continue
-                node = ["sect", [[ids[k], ids[v]] for k, v in top.entries]]
+                node = ("sect",
+                        tuple((ids[k], ids[v]) for k, v in top.entries))
             stack.pop()
             if top not in ids:
-                ids[top] = len(nodes)
-                nodes.append(node)
+                ids[top] = self.node(node)
         return ids[e]
 
+    def walk(self, s: FinSetObj) -> _Walk:
+        """s's walk, made on first use: recipe sets are read by position."""
+        w = self.walks.get(id(s))
+        if w is None:
+            recipe = pending_build(s)
+            w = (_ApexWalk(s, recipe) if type(recipe) is ApexRecipe
+                 else _SectionsWalk(s, recipe)
+                 if type(recipe) is SectionsRecipe else _Walk(s))
+            self.walks[id(s)] = w
+        return w
+
+    def _fill(self, w: _Walk, i: int) -> None:
+        """Give position i of w's set its node id.
+
+        Iterative like element, and in the same post-order: a position
+        takes its parts left to right, descending into the first one that
+        has no id yet, and gets its own id once every part has one.
+        """
+        stack = [(w, i, iter(w.parts(self, i)))]
+        while stack:
+            w, i, parts = stack[-1]
+            for pw, j in parts:
+                if pw.ids[j] is None:
+                    stack.append((pw, j, iter(pw.parts(self, j))))
+                    break
+            else:
+                stack.pop()
+                w.ids[i] = w.id_at(self, i)
+
     def finset(self, s: FinSetObj) -> list[int]:
-        return list(map(self.element, s.elements))
+        w = self.walk(s)
+        ids = w.ids
+        if type(w) is _Walk:
+            ids[:] = map(self.element, s.elements)
+        for i, known in enumerate(ids):
+            if known is None:
+                self._fill(w, i)
+        return list(ids)
 
     def fn(self, f: FinFn) -> dict:
         return {"dom": self.finset(f.dom), "cod": self.finset(f.cod),
@@ -144,6 +323,75 @@ def eval_trace_to_json(t: EvalTrace) -> dict:
                      dpb_r=w.fn(d.r), output=w.fn(t.output.arrow))
 
 
+def to_text(data: Any) -> str:
+    """json.dumps(data, indent=2, sort_keys=True), built as one string.
+
+    With indent set, json runs its pure-Python encoder, a call and a write
+    per token.  Here a list of ints is joined in C, each row of a node
+    table is filled into the format of its shape, and strings go through
+    json's own escaping.  A float, or any other value not known here, goes
+    to json.dumps, whose text is indented to its place.
+    """
+    return _text(data, "\n")
+
+
+def _text(v: Any, nl: str) -> str:
+    """v's indent-2 text, with nl the newline and indent of v's own line."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None or t is bool:
+        return _CONSTANTS[v]
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        kinds = set(map(type, v))
+        if kinds == {int}:
+            items = map(int.__repr__, v)
+        elif kinds == {list}:
+            items = _rows(v, inner)
+        else:
+            items = [_text(item, inner) for item in v]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict and set(map(type, v)) == {str}:
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + _text(v[k], inner) for k in sorted(v)
+        ]) + nl + "}"
+    if t is dict and not v:
+        return "{}"
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", nl)
+
+
+_quote = encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _rows(rows: list[list], nl: str) -> list[str]:
+    """The text of each of rows at the indent of nl, where the shapes of a
+    node table, ["pair", l, r], ["atom", token] and a section's [k, v],
+    are filled into one format each."""
+    inner = nl + "  "
+    pair = "[" + inner + '"pair",' + inner + "%d," + inner + "%d" + nl + "]"
+    atom = "[" + inner + '"atom",' + inner + "%s" + nl + "]"
+    entry = "[" + inner + "%d," + inner + "%d" + nl + "]"
+    out = []
+    for row in rows:
+        if len(row) == 3 and row[0] == "pair" and type(row[1]) is int \
+                and type(row[2]) is int:
+            out.append(pair % (row[1], row[2]))
+        elif len(row) == 2 and type(row[0]) is int and type(row[1]) is int:
+            out.append(entry % (row[0], row[1]))
+        elif len(row) == 2 and row[0] == "atom" and type(row[1]) is str:
+            out.append(atom % _quote(row[1]))
+        else:
+            out.append(_text(row, nl))
+    return out
+
+
 def _fn_fields(data: Any) -> tuple[Any, Any, list]:
     if not isinstance(data, dict) or not {"dom", "cod", "map"} <= set(data):
         raise ParseError("a function needs dom, cod and map", 0)
@@ -164,7 +412,11 @@ def _node_id(i: Any, n: int) -> int:
 
 
 class _Reader:
-    """Reads a version-2 payload; elems[i] is the element of node i."""
+    """Reads a version-2 payload; elems[i] is the element of node i.
+
+    sets holds, for each distinct id list read, its set and whether the
+    list is already in canonical order, so a set is built once per read.
+    """
 
     def __init__(self, nodes: Any) -> None:
         elems: list[Element] = []
@@ -185,23 +437,47 @@ class _Reader:
             else:
                 raise ParseError(f"unknown node {node!r}", 0)
         self.elems = elems
+        self.sets: dict[tuple[int, ...], tuple[FinSetObj, bool]] = {}
 
     def element(self, data: Any) -> Element:
         return self.elems[_node_id(data, len(self.elems))]
 
+    def _ids(self, data: Any) -> tuple[int, ...]:
+        """The node ids of a set's array, each checked to be in range."""
+        ids = _array(data)
+        n = len(self.elems)
+        if ids and not (set(map(type, ids)) == {int}
+                        and 0 <= min(ids) and max(ids) < n):
+            for i in ids:
+                _node_id(i, n)
+        return tuple(ids)
+
+    def _set(self, ids: tuple[int, ...]) -> tuple[FinSetObj, bool]:
+        got = self.sets.get(ids)
+        if got is None:
+            elems = _take(self.elems, ids)
+            s = FinSetObj(elems)
+            got = self.sets[ids] = s, all(map(is_, s.elements, elems))
+        return got
+
     def finset(self, data: Any) -> FinSetObj:
-        return FinSetObj(map(self.element, _array(data)))
+        return self._set(self._ids(data))[0]
 
     def fn(self, data: Any) -> FinFn:
         dom, cod, positions = _fn_fields(data)
-        args = list(map(self.element, _array(dom)))
-        values = list(map(self.element, _array(cod)))
-        if len(positions) != len(args):
+        dom, cod = self._ids(dom), self._ids(cod)
+        if len(positions) != len(dom):
             raise ParseError("a function's map and dom differ in length", 0)
-        if not all(type(j) is int and 0 <= j < len(values) for j in positions):
+        if positions and not (set(map(type, positions)) == {int}
+                              and 0 <= min(positions)
+                              and max(positions) < len(cod)):
             raise ParseError("map entries must be positions in cod", 0)
-        return FinFn(FinSetObj(args), FinSetObj(values),
-                     zip(args, map(values.__getitem__, positions)))
+        (d, d_canonical), (c, c_canonical) = self._set(dom), self._set(cod)
+        if d_canonical and c_canonical:
+            return FinFn(d, c, idx=positions)
+        elems = self.elems
+        return FinFn(d, c, zip(_take(elems, dom),
+                               _take(elems, _take(cod, positions))))
 
 
 def _reader(data: Any) -> _Reader:

@@ -16,7 +16,9 @@ domain meets every section over its image in numbering order, so its
 values are its fiber's points repeated and cycled, by list repetition
 with no arithmetic per point; an apex laid out any other way is decoded
 by division.  pi's carrier and the apexes of chosen pullbacks are lazy,
-built only when their elements are read.  The chosen degenerate shapes
+built only when their elements are read; pi's recipe (SectionsRecipe)
+also reads one section by its number (_Sections.section), so a set's
+elements can be named without building it.  The chosen degenerate shapes
 make the identity laws strict: pulling back along an identity, or taking
 the dependent product along an identity, returns its argument on the
 nose.
@@ -24,6 +26,7 @@ nose.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import cycle, islice, product
@@ -159,6 +162,13 @@ class _Sections:
                 weight *= len(self.xfibers[a])
             self.offset.append(self.offset[-1] + weight)
 
+    def section(self, y: int) -> tuple[int, list[int]]:
+        """The point b that section y lies over, and its values at f's
+        fiber over b, in the fiber's order."""
+        b = bisect_right(self.offset, y) - 1
+        fib = self.fibers[b]
+        return b, self.decode(fib, [y] * len(fib))
+
     def decode(self, at: Iterable[int], ys: Iterable[int]) -> list[int]:
         """For each point a in at and section y in ys, y's value at a."""
         if self.identity:
@@ -235,18 +245,35 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
     for b, (lo, hi) in enumerate(zip(offset, offset[1:])):
         over += [b] * (hi - lo)
         fibers.append(list(range(lo, hi)))
-
-    def build() -> list[Element]:
-        elems = []
-        for b in f.cod:
-            fib = f.fiber(b)
-            for combo in product(*[x.arrow.fiber(a) for a in fib]):
-                elems.append(Pair(b, Sect(zip(fib, combo))))
-        return elems
-
-    arrow = FinFn(lazy_finset(len(over), build), f.cod, idx=over)
+    carrier = lazy_finset(len(over), SectionsRecipe(f, x.arrow))
+    arrow = FinFn(carrier, f.cod, idx=over)
     arrow._fibers = fibers  # the sections over b are numbered consecutively
     return SliceObj(arrow)
+
+
+class SectionsRecipe:
+    """How pi(f, x) lists its carrier, for x the arrow of a slice over
+    f.dom: section number n is Pair(b, Sect(...)) as _Sections numbers it.
+
+    Calling it builds every section in that order; a reader that wants
+    section n alone can decode it from the numbering instead.
+    """
+
+    __slots__ = ("f", "x")
+
+    def __init__(self, f: FinFn, x: FinFn):
+        self.f, self.x = f, x
+
+    def numbering(self) -> _Sections:
+        return _Sections(self.f, self.x)
+
+    def __call__(self) -> list[Element]:
+        f, x, elems = self.f, self.x, []
+        for b in f.cod:
+            fib = f.fiber(b)
+            for combo in product(*[x.fiber(a) for a in fib]):
+                elems.append(Pair(b, Sect(zip(fib, combo))))
+        return elems
 
 
 def pi_tabulate(f: FinFn, x: SliceObj, base: FinFn,

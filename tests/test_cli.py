@@ -489,14 +489,19 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["counts"] == {"out1": 26, "out2": 27}
         assert built == []
+        # The writer names the stage carriers' elements from their
+        # recipes, so writing the trace builds none of them either.
         with recorded_builds() as built:
             code, traced, _ = run(capsys, "eval", str(f1), "--assign",
                                   "w=2,x=2,y=3,z=2", "--trace")
         assert code == 0
         assert json.loads(traced)["counts"] == {"out1": 26, "out2": 27}
+        assert built == []
+        # The recorder does see a build: reading a carrier makes one.
         stages = traces[-1]
-        assert any(t is stages.dpb.X.elements for t in built)
-        assert any(t is stages.dpb.Y.elements for t in built)
+        with recorded_builds() as built:
+            elements = stages.dpb.X.elements
+        assert len(built) >= 1 and built[-1] is elements
 
     @pytest.mark.parametrize("flags, dpbs", [([], 0), (["--trace"], 1)])
     def test_one_pi_per_evaluation(self, capsys, tmp_path, monkeypatch,

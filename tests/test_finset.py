@@ -618,6 +618,29 @@ class TestCheckPullback:
             assert len(sq.apex) == pair_set(f, g)
 
 
+    def test_transposed_stage_enumerates_its_pairs_once(self, monkeypatch):
+        """A composite's last stage lists the pairs of the swapped cospan;
+        only that side's enumeration is made, and the square passes."""
+        import polyfin.finset
+        from polyfin.poly import terminal_sdc
+        from polyfin.symbolic import encode, parse_poly
+        links = [encode(parse_poly(t, in_vars=[v], out_names=[w]))
+                 for t, v, w in (("x^2 + x", "x", "y"), ("y^2 + 1", "y", "x"))]
+        sdc = terminal_sdc(links)
+        last = len(sdc.over) - 1
+        sq = PullbackSquare(sdc.ys[last], sdc.q2s[last], sdc.rs[last],
+                            sdc.ss[last], sdc.over[last].p2)
+        real, calls = polyfin.finset._matching_pairs, []
+
+        def counting(f, g):
+            calls.append((f, g))
+            return real(f, g)
+
+        monkeypatch.setattr(polyfin.finset, "_matching_pairs", counting)
+        assert check_pullback(sq)
+        assert calls == [(sq.leg2, sq.leg1)]
+
+
 def _outcome(decide, sq):
     try:
         return decide(sq)

@@ -2,15 +2,29 @@
 
 import json
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyfin import gen, jsonio
-from polyfin.cli import main
+from polyfin.cli import _emit, main
+from polyfin.errors import ParseError
 from polyfin.extension import eval_obj
-from polyfin.finset import Atom, Pair, Sect
+from polyfin.finset import (
+    ApexRecipe,
+    Atom,
+    FinFn,
+    FinSetObj,
+    Pair,
+    PullbackSquare,
+    Sect,
+    lazy_finset,
+    pending_build,
+)
 from polyfin.poly import compose_seq
 from polyfin.symbolic import encode, fiber_slice, parse_poly
+
+from support import recorded_builds
 
 # Atoms, pairs and section tables (two-entry ones included), nested.
 elements = st.recursive(
@@ -171,3 +185,270 @@ def test_subdivided_composite_reads_back_equal(rng):
             assert tuple(_fn_back(data, f) for f in data[name]) == getattr(
                 sdc, name)
     assert nonempty >= 2
+
+
+# The recipe writer against the element writer.  A set read from its
+# recipe gets the node ids that the element walk gives its built copy.
+
+def _build_all(*sets):
+    """Build each set; a lazy set's build reads, and so builds, every lazy
+    set its recipe names."""
+    for s in sets:
+        s.elements
+
+
+def _reference_payload(p):
+    """poly_to_json(p) by the recursive reference walk over built sets."""
+    ids, nodes = {}, []
+
+    def finset(s):
+        return [_post_order(e, ids, nodes) for e in s]
+
+    def fn(f):
+        return {"dom": finset(f.dom), "cod": finset(f.cod),
+                "map": list(f.idx)}
+
+    fields = {"src": finset(p.src), "A": finset(p.mid_src),
+              "B": finset(p.mid_tgt), "tgt": finset(p.tgt),
+              "p1": fn(p.p1), "p2": fn(p.p2), "p3": fn(p.p3)}
+    return {"version": 2, "nodes": nodes, **fields}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_recipe_writer_equals_element_writer_on_composites(seed, links, size):
+    composite = compose_seq(gen.rand_composable(gen.Draws(seed), links, size))
+    with recorded_builds() as built:
+        read = jsonio.poly_to_json(composite)
+    assert built == []
+    _build_all(composite.mid_src, composite.mid_tgt)
+    assert jsonio.poly_to_json(composite) == read
+    assert _reference_payload(composite) == read
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_recipe_writer_equals_element_writer_on_eval_traces(seed, size):
+    rng = gen.Draws(seed)
+    p = gen.rand_poly(rng, size)
+    _, trace = eval_obj(p, gen.rand_slice(rng, p.src, size))
+    # Made before the write: deciding whether pi's arrow is an identity
+    # compares its carrier with its base when its table is the identity's.
+    trace.dpb
+    with recorded_builds() as built:
+        read = jsonio.eval_trace_to_json(trace)
+    assert built == []
+    _build_all(trace.delta.apex, trace.dpb.X, trace.dpb.Y)
+    assert jsonio.eval_trace_to_json(trace) == read
+
+
+def test_four_link_chain_is_written_without_building_a_set():
+    links = [encode(parse_poly(t, in_vars=[v], out_names=[w]))
+             for t, v, w in (("x^2 + x", "x", "y"), ("y^2 + 1", "y", "x"))]
+    composite = compose_seq(links * 2)
+    with recorded_builds() as built:
+        read = jsonio.poly_to_json(composite)
+    assert built == []
+    assert len(read["nodes"]) > len(composite.mid_src) > 7000
+    _build_all(composite.mid_src, composite.mid_tgt)
+    assert jsonio.poly_to_json(composite) == read
+
+
+def _reversed_apex_pullback(real, by_recipe):
+    """A replacement pullback whose apex lists the chosen one's points in
+    reverse; its projections follow, so the square is still a pullback."""
+
+    def pullback(f, g):
+        sq = real(f, g)
+        recipe = pending_build(sq.apex)
+        if type(recipe) is not ApexRecipe or len(sq.apex) < 2:
+            return sq
+        left, right = recipe.left[::-1], recipe.right[::-1]
+        if by_recipe:
+            build = ApexRecipe(f.dom, left, g.dom, right)
+        else:
+            def build():
+                return [Pair(f.dom.elements[i], g.dom.elements[k])
+                        for i, k in zip(left, right)]
+        apex = lazy_finset(len(left), build)
+        return PullbackSquare(apex, FinFn(apex, f.dom, idx=left),
+                              FinFn(apex, g.dom, idx=right), f, g)
+
+    return pullback
+
+
+@pytest.mark.parametrize("by_recipe", [True, False],
+                         ids=["recipe", "closure"])
+def test_writer_refuses_an_apex_out_of_canonical_order(monkeypatch,
+                                                       by_recipe):
+    import polyfin.poly
+    monkeypatch.setattr(polyfin.poly, "pullback", _reversed_apex_pullback(
+        polyfin.poly.pullback, by_recipe))
+    composite = _composite()
+    with pytest.raises(AssertionError, match="canonical order"):
+        jsonio.poly_to_json(composite)
+
+
+# The emitter: the exact bytes of json.dumps(v, indent=2, sort_keys=True).
+
+_leaves = (st.none() | st.booleans() | st.text()
+           | st.integers(-2 ** 70, 2 ** 70)
+           | st.floats(allow_nan=True, allow_infinity=True))
+_node_rows = (st.tuples(st.just("pair"), st.integers(0, 99),
+                        st.integers(0, 99))
+              | st.tuples(st.just("atom"), st.text())
+              | st.tuples(st.integers(), st.integers())).map(list)
+json_values = st.recursive(
+    _leaves | _node_rows,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.lists(_node_rows, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=16)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_values)
+def test_emitted_bytes_equal_json_dumps(tmp_path, v):
+    out = tmp_path / "out.json"
+    _emit(v, str(out))
+    assert out.read_bytes() == (
+        json.dumps(v, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("v", [
+    {"b": [1, 2 ** 64, -3], "a": {"é\x00\n ": "\U0001f600\t"}},
+    [[], {}, [[]], True, False, None, float("inf"), float("nan"), -0.0],
+    {"reports": [{"wall_time_s": 0.125, "law": "units"}], "nodes": [
+        ["atom", "x"], ["pair", 0, 0], ["sect", [[0, 1], [1, 1]]]]},
+])
+def test_emitted_text_equals_json_dumps_on_stdout_too(capsys, v):
+    _emit(v, None)
+    assert capsys.readouterr().out == json.dumps(v, indent=2,
+                                                 sort_keys=True) + "\n"
+
+
+# The reader: one set per distinct id list, canonical or not.
+
+def test_reader_builds_one_set_per_distinct_id_list(monkeypatch):
+    data = _through_text(jsonio.poly_to_json(_composite()))
+    made = []
+
+    def counting(elems):
+        made.append(tuple(elems))
+        return FinSetObj(elems)
+
+    monkeypatch.setattr(jsonio, "FinSetObj", counting)
+    p = jsonio.poly_from_json(data)
+    lists = [data[name] for name in ("src", "A", "B", "tgt")] + [
+        data[leg][end] for leg in ("p1", "p2", "p3") for end in ("dom", "cod")]
+    assert len(made) == len({tuple(ids) for ids in lists}) == 4
+    assert p.p1.dom is p.p2.dom is p.mid_src
+    assert p.p2.cod is p.p3.dom is p.mid_tgt
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_shuffled_dom_and_cod_read_back_equal(rnd):
+    built = _composite()
+    data = _through_text(jsonio.poly_to_json(built))
+    for leg in ("p1", "p2", "p3"):
+        f = data[leg]
+        dom_order = rnd.sample(range(len(f["dom"])), len(f["dom"]))
+        cod_order = rnd.sample(range(len(f["cod"])), len(f["cod"]))
+        new_pos = {old: new for new, old in enumerate(cod_order)}
+        f["dom"] = [f["dom"][i] for i in dom_order]
+        f["map"] = [new_pos[f["map"][i]] for i in dom_order]
+        f["cod"] = [f["cod"][i] for i in cod_order]
+    assert jsonio.poly_from_json(data) == built
+
+
+def test_payload_with_two_equal_nodes_reads_back_equal():
+    built = _composite()
+    data = _through_text(jsonio.poly_to_json(built))
+    nodes = data["nodes"]
+    # A copy of every atom node, and of each pair node over atoms: the
+    # function tables name the copies, the sets the originals.
+    copies = {}
+    for i, node in enumerate(list(nodes)):
+        if node[0] == "atom" or (node[0] == "pair" and node[1] in copies
+                                 and node[2] in copies):
+            copy = node if node[0] == "atom" else [
+                "pair", copies[node[1]], copies[node[2]]]
+            copies[i] = len(nodes)
+            nodes.append(copy)
+    assert any(nodes[i][0] == "pair" for i in copies)
+    for leg in ("p1", "p2", "p3"):
+        for end in ("dom", "cod"):
+            data[leg][end] = [copies.get(i, i) for i in data[leg][end]]
+    assert jsonio.poly_from_json(data) == built
+
+
+def _base_payload():
+    return _through_text(jsonio.poly_to_json(
+        encode(parse_poly("x^2 + x", in_vars=["x"], out_names=["y"]))))
+
+
+def _edited(edit):
+    def make():
+        data = _base_payload()
+        edit(data)
+        return data
+    return make
+
+
+PARSE_ERRORS = [
+    (lambda: [], "a payload must be an object"),
+    (_edited(lambda d: d.pop("version")), "unknown version None: only "
+     "version 2 is read; regenerate the file with encode or compose"),
+    (_edited(lambda d: d.update(nodes=5)), "nodes must be an array"),
+    (_edited(lambda d: d["nodes"].append(["leaf", 1])),
+     "unknown node ['leaf', 1]"),
+    (_edited(lambda d: d["nodes"].append(["sect", [[0]]])),
+     "section entries must be id pairs"),
+    (_edited(lambda d: d["nodes"].append(["pair", 0, 99])),
+     "node id 99 is out of range (needs 0 <= id < 7)"),
+    (_edited(lambda d: d.update(A=3)), "a set must be an array"),
+    (_edited(lambda d: d["A"].append(99)),
+     "node id 99 is out of range (needs 0 <= id < 7)"),
+    (_edited(lambda d: d["A"].append("0")),
+     "node id '0' is out of range (needs 0 <= id < 7)"),
+    (_edited(lambda d: d["A"].append(True)),
+     "node id True is out of range (needs 0 <= id < 7)"),
+    (_edited(lambda d: d["A"].append([0])),
+     "node id [0] is out of range (needs 0 <= id < 7)"),
+    (_edited(lambda d: d["p2"]["dom"].append(-1)),
+     "node id -1 is out of range (needs 0 <= id < 7)"),
+    (_edited(lambda d: d["p1"].pop("cod")),
+     "a function needs dom, cod and map"),
+    (_edited(lambda d: d["p3"].update(map=None)),
+     "a function's map must be an array"),
+    (_edited(lambda d: d["p2"]["map"].pop()),
+     "a function's map and dom differ in length"),
+    (_edited(lambda d: d["p2"]["map"].__setitem__(0, 9)),
+     "map entries must be positions in cod"),
+    (_edited(lambda d: d["p2"]["map"].__setitem__(0, False)),
+     "map entries must be positions in cod"),
+    (_edited(lambda d: (d["p1"]["dom"].append(d["p1"]["dom"][0]),
+                        d["p1"]["map"].append(0))),
+     "duplicate element Atom('m0.u0')"),
+    (_edited(lambda d: d["p2"]["cod"].append(d["p2"]["cod"][0])),
+     "duplicate element Atom('m0')"),
+    (_edited(lambda d: d["p1"]["dom"].append(d["p1"]["dom"][0])),
+     "a function's map and dom differ in length"),
+    (_edited(lambda d: (d.pop("B"), d.pop("tgt"))),
+     "polynomial is missing ['B', 'tgt']"),
+    (_edited(lambda d: d["B"].pop()), "B does not match p2.cod"),
+    (_edited(lambda d: d["p3"].update(dom=d["p2"]["dom"],
+                                      map=[0] * len(d["p2"]["dom"]))),
+     "p2 must land in the domain of p3"),
+]
+
+
+@pytest.mark.parametrize("make, message", PARSE_ERRORS)
+def test_parse_error_texts(make, message):
+    with pytest.raises(ParseError) as excinfo:
+        jsonio.poly_from_json(make())
+    assert str(excinfo.value) == f"{message} (at position 0)"
