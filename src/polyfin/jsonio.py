@@ -79,8 +79,9 @@ class _Walk:
     def __init__(self, s: FinSetObj):
         self.s, self.ids, self.kids = s, [None] * len(s), None
 
-    def id_at(self, w: "_Writer", i: int) -> int:
-        """The node id at position i, once its parts have ids."""
+    def id_at(self, w: "_Writer", i: int, parts: tuple) -> int:
+        """The node id at position i, once its parts (as parts(w, i)
+        returned them) have ids."""
         return w.element(self.s.elements[i])
 
     def parts(self, w: "_Writer", i: int) -> tuple:
@@ -107,44 +108,41 @@ class _ApexWalk(_Walk):
         lw, rw = self.kids
         return (lw, r.left[i]), (rw, r.right[i])
 
-    def id_at(self, w: "_Writer", i: int) -> int:
-        lw, rw = self.kids
-        r = self.recipe
-        return w.node(("pair", lw.ids[r.left[i]], rw.ids[r.right[i]]))
+    def id_at(self, w: "_Writer", i: int, parts: tuple) -> int:
+        (lw, left), (rw, right) = parts
+        return w.node(("pair", lw.ids[left], rw.ids[right]))
 
 
 class _SectionsWalk(_Walk):
     """An unbuilt dependent-product carrier: section i is Pair(b, Sect(...))
-    with b and the section's values decoded from its number."""
+    with b and the section's values decoded, once, from its number."""
 
-    __slots__ = ("recipe", "numbering")
+    __slots__ = ("recipe",)
 
     def __init__(self, s: FinSetObj, recipe: SectionsRecipe):
-        numbering = recipe.numbering()
-        offset = numbering.offset
+        offset = recipe.numbering.offset
         _check_canonical(offset[-1] == len(s),
                          all(map(le, offset, offset[1:])))
         super().__init__(s)
-        self.recipe, self.numbering = recipe, numbering
+        self.recipe = recipe
 
     def parts(self, w: "_Writer", i: int) -> list:
-        f, x = self.recipe.f, self.recipe.x
+        """(b's walk, b), then (a's walk, a) and (v's walk, v) for each
+        point a of b's fiber and the section's value v there."""
+        r = self.recipe
         if self.kids is None:
-            self.kids = w.walk(f.cod), w.walk(f.dom), w.walk(x.dom)
+            self.kids = w.walk(r.f.cod), w.walk(r.f.dom), w.walk(r.x.dom)
         bw, aw, vw = self.kids
-        b, values = self.numbering.section(i)
+        b, values = r.numbering.section(i)
         parts = [(bw, b)]
-        for a, v in zip(self.numbering.fibers[b], values):
+        for a, v in zip(r.numbering.fibers[b], values):
             parts += (aw, a), (vw, v)
         return parts
 
-    def id_at(self, w: "_Writer", i: int) -> int:
-        bw, aw, vw = self.kids
-        b, values = self.numbering.section(i)
-        aids, vids = aw.ids, vw.ids
-        sect = w.node(("sect", tuple((aids[a], vids[v]) for a, v in zip(
-            self.numbering.fibers[b], values))))
-        return w.node(("pair", bw.ids[b], sect))
+    def id_at(self, w: "_Writer", i: int, parts: list) -> int:
+        ids = [pw.ids[j] for pw, j in parts]
+        sect = w.node(("sect", tuple(zip(ids[1::2], ids[2::2]))))
+        return w.node(("pair", ids[0], sect))
 
 
 def _check_canonical(sized: bool, ordered: bool) -> None:
@@ -241,16 +239,18 @@ class _Writer:
         takes its parts left to right, descending into the first one that
         has no id yet, and gets its own id once every part has one.
         """
-        stack = [(w, i, iter(w.parts(self, i)))]
+        parts = w.parts(self, i)
+        stack = [(w, i, parts, iter(parts))]
         while stack:
-            w, i, parts = stack[-1]
-            for pw, j in parts:
+            w, i, parts, unread = stack[-1]
+            for pw, j in unread:
                 if pw.ids[j] is None:
-                    stack.append((pw, j, iter(pw.parts(self, j))))
+                    sub = pw.parts(self, j)
+                    stack.append((pw, j, sub, iter(sub)))
                     break
             else:
                 stack.pop()
-                w.ids[i] = w.id_at(self, i)
+                w.ids[i] = w.id_at(self, i, parts)
 
     def finset(self, s: FinSetObj) -> list[int]:
         w = self.walk(s)

@@ -11,17 +11,14 @@ section over b is b's offset plus the mixed-radix number of its choices
 in the fibers.  That numbering gives pi its arrow and the arrow's fibers,
 decodes a distributivity pullback's p, and encodes every section table
 (pi_tabulate), all on position tables, so no caller reads or builds a
-Sect.  p is written as an odometer: in the chosen apex each point of the
-domain meets every section over its image in numbering order, so its
-values are its fiber's points repeated and cycled, by list repetition
-with no arithmetic per point; an apex laid out any other way is decoded
-by division.  pi's carrier and the apexes of chosen pullbacks are lazy,
-built only when their elements are read; pi's recipe (SectionsRecipe)
-also reads one section by its number (_Sections.section), so a set's
-elements can be named without building it.  The chosen degenerate shapes
-make the identity laws strict: pulling back along an identity, or taking
-the dependent product along an identity, returns its argument on the
-nose.
+Sect.  A section's value at a point is read one way, by division
+(_Sections.decode).  pi's carrier and the apexes of chosen pullbacks are
+lazy, built only when their elements are read; pi's recipe
+(SectionsRecipe) keeps pi's numbering, which also reads one section by
+its number (_Sections.section), so a set's elements can be named without
+building it.  The chosen degenerate shapes make the identity laws strict:
+pulling back along an identity, or taking the dependent product along an
+identity, returns its argument on the nose.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import cycle, islice, product
+from itertools import islice, product
 from math import prod
 from operator import attrgetter, mul
 from typing import Callable, Iterable
@@ -141,14 +138,8 @@ class _Sections:
     times stride[a], the product of the x-fiber sizes of the later points
     of f's fiber: a mixed radix, first point most significant.  For f an
     identity pi(f, x) is x, and a section is numbered by its one value.
-
-    decode reads any (point, section) pairs by division.  odometer reads
-    the projections of the chosen pullback of pi's arrow along f, where
-    the sections over b = f(a) run in order beside each point a: a's
-    values are its x-fiber with each point repeated stride[a] times, that
-    block cycled until the run ends, as in mixed-radix counting (Knuth,
-    TAOCP 4A, 7.2.1.1, Algorithm M).  Each run is checked against that
-    layout first, and any other apex goes to decode.
+    decode reads a section's value at a point by division, for (point,
+    section) pairs in any order; section and every caller read through it.
     """
 
     def __init__(self, f: FinFn, x: FinFn):
@@ -177,33 +168,6 @@ class _Sections:
                                          self.stride, self.fidx)
         return [xfibers[a][(y - offset[fidx[a]]) // stride[a] % len(xfibers[a])]
                 for a, y in zip(at, ys)]
-
-    def odometer(self, at: tuple[int, ...], ys: tuple[int, ...],
-                 runs: list[list[int]]) -> list[int]:
-        """decode(at, ys), by list repetition where the runs allow it.
-
-        runs are the fiber positions of pi's arrow, which the chosen
-        pullback copies into ys.  They ascend, so a run's length and ends
-        tell whether it is b's sections offset[b], ..., offset[b+1] - 1.
-        """
-        if self.identity:
-            return list(ys)
-        offset, stride, values, s = self.offset, self.stride, [], 0
-        runs = list(map(tuple, runs))
-        for a, (b, xfib) in enumerate(zip(self.fidx, self.xfibers)):
-            lo, hi, run = offset[b], offset[b + 1], runs[b]
-            if len(run) != hi - lo or run and (run[0], run[-1]) != (lo, hi - 1):
-                return self.decode(at, ys)
-            e = s + len(run)
-            if at[s:e] != (a,) * len(run) or ys[s:e] != run:
-                return self.decode(at, ys)
-            if run:
-                block = []
-                for v in xfib:
-                    block += [v] * stride[a]
-                values += islice(cycle(block), len(run))
-            s = e
-        return values if s == len(at) else self.decode(at, ys)
 
     def encode(self, bs: tuple[int, ...],
                values: Callable[[list[int], list[int]], list[int]]
@@ -241,11 +205,12 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
         return x
     if x.arrow.is_identity:
         return terminal_slice(f.cod)
-    offset, over, fibers = _Sections(f, x.arrow).offset, [], []
+    sections = _Sections(f, x.arrow)
+    offset, over, fibers = sections.offset, [], []
     for b, (lo, hi) in enumerate(zip(offset, offset[1:])):
         over += [b] * (hi - lo)
         fibers.append(list(range(lo, hi)))
-    carrier = lazy_finset(len(over), SectionsRecipe(f, x.arrow))
+    carrier = lazy_finset(len(over), SectionsRecipe(f, x.arrow, sections))
     arrow = FinFn(carrier, f.cod, idx=over)
     arrow._fibers = fibers  # the sections over b are numbered consecutively
     return SliceObj(arrow)
@@ -253,19 +218,17 @@ def pi(f: FinFn, x: SliceObj) -> SliceObj:
 
 class SectionsRecipe:
     """How pi(f, x) lists its carrier, for x the arrow of a slice over
-    f.dom: section number n is Pair(b, Sect(...)) as _Sections numbers it.
+    f.dom: section number n is Pair(b, Sect(...)) as numbering, pi's
+    _Sections(f, x), numbers it.
 
     Calling it builds every section in that order; a reader that wants
     section n alone can decode it from the numbering instead.
     """
 
-    __slots__ = ("f", "x")
+    __slots__ = ("f", "x", "numbering")
 
-    def __init__(self, f: FinFn, x: FinFn):
-        self.f, self.x = f, x
-
-    def numbering(self) -> _Sections:
-        return _Sections(self.f, self.x)
+    def __init__(self, f: FinFn, x: FinFn, numbering: _Sections):
+        self.f, self.x, self.numbering = f, x, numbering
 
     def __call__(self) -> list[Element]:
         f, x, elems = self.f, self.x, []
@@ -340,7 +303,7 @@ def dist_pullback(f: FinFn, g: FinFn) -> DistPB:
     along f, and p evaluates the section at the fiber point.  Degenerate
     chains are the chosen strict shapes: for f an identity the result is
     (1, 1, g); for g an identity it is (1, f, 1).  p is decoded on
-    positions (_Sections.odometer), so neither X nor Y is built.
+    positions (_Sections.decode), so neither X nor Y is built.
     """
     if g.cod != f.dom:
         raise NotComposable("g must land in the domain of f")
@@ -351,8 +314,8 @@ def _dist_pullback_over(f: FinFn, g: FinFn, yslice: SliceObj) -> DistPB:
     """dist_pullback(f, g), given yslice = pi(f, SliceObj(g)) as built."""
     from .finset import pullback
     sq = pullback(f, yslice.arrow)
-    p = FinFn(sq.apex, g.dom, idx=_Sections(f, g).odometer(
-        sq.proj1.idx, sq.proj2.idx, yslice.arrow.fiber_positions()))
+    p = FinFn(sq.apex, g.dom,
+              idx=_Sections(f, g).decode(sq.proj1.idx, sq.proj2.idx))
     return DistPB(f, g, p, sq.proj2, yslice.arrow)
 
 

@@ -11,7 +11,6 @@ empty monomial and everything stays a multiset.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -287,14 +286,19 @@ def eval_via_extension(p: Polynomial, assignment: dict[str, int]) -> dict[str, i
 
 def eval_with_trace(p: Polynomial, assignment: dict[str, int]
                     ) -> tuple[dict[str, int], EvalTrace]:
-    """eval_via_extension's counts, tallied on the output arrow's table,
-    and the trace."""
+    """eval_via_extension's counts and the trace.
+
+    An output's count is the number of sections over its p3-fiber: the
+    product arrow's fiber sizes, which pi reads off its section offsets,
+    summed over that fiber, so the output's table is not recounted.
+    """
     for e in p.tgt:
         if not isinstance(e, Atom):
             raise NotNameable(f"target element {e!r} is not an atom")
-    out, trace = eval_obj(p, fiber_slice(p, assignment))
-    sizes = Counter(out.arrow.idx)
-    return {e.token: sizes[j] for j, e in enumerate(p.tgt)}, trace
+    _, trace = eval_obj(p, fiber_slice(p, assignment))
+    sizes = trace.product.arrow.fiber_positions()
+    return {e.token: sum(len(sizes[b]) for b in bs)
+            for e, bs in zip(p.tgt, p.p3.fiber_positions())}, trace
 
 
 def substitute(q: SymPoly, p: SymPoly) -> SymPoly:

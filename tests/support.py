@@ -15,7 +15,22 @@ from polyfin.finset import (
     PullbackSquare,
     compose_fn,
 )
-from polyfin.slices import DistPB, _all_fns
+from polyfin.slices import DistPB, SliceObj, _all_fns
+
+
+def dropped_section_pi(real_pi):
+    """A mutant of slices.pi that drops the last section of every product
+    with two or more, building its arrow from elements, so without the
+    fibers pi fills from its section offsets."""
+    def mutant_pi(f, x):
+        out = real_pi(f, x)
+        if f.is_identity or x.arrow.is_identity or len(out.carrier) < 2:
+            return out
+        keep = out.carrier.elements[:-1]
+        carrier = FinSetObj(keep)
+        return SliceObj(FinFn(carrier, out.base,
+                              [(e, out.arrow(e)) for e in keep]))
+    return mutant_pi
 
 
 def constant_fn(dom: FinSetObj, cod: FinSetObj, value: Element) -> FinFn:

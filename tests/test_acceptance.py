@@ -17,12 +17,13 @@ from polyfin.gen import InstanceGenConfig
 from polyfin.laws import run_law
 from polyfin.poly import CartesianMorphism
 from polyfin.slices import (
-    SliceObj,
     check_dpb_terminal,
     delta_component,
     terminal_slice,
 )
 from polyfin.symbolic import encode, parse_poly
+
+from support import dropped_section_pi
 
 
 def _report_line(num, label, ok, extra=""):
@@ -158,18 +159,8 @@ class TestCriterion11MutationSensitivity:
         return f"caught by {name}"
 
     def test_11a_dropped_section(self, monkeypatch):
-        real_pi = polyfin.slices.pi
-
-        def mutant_pi(f, x):
-            out = real_pi(f, x)
-            if f.is_identity or x.arrow.is_identity or len(out.carrier) < 2:
-                return out
-            keep = out.carrier.elements[:-1]
-            carrier = FinSetObj(keep)
-            return SliceObj(FinFn(carrier, out.base,
-                                  [(e, out.arrow(e)) for e in keep]))
-
-        monkeypatch.setattr(polyfin.slices, "pi", mutant_pi)
+        monkeypatch.setattr(polyfin.slices, "pi",
+                            dropped_section_pi(polyfin.slices.pi))
         extra = self._caught("delta-criterion")
         _report_line(11, "dropped section table detected", True, extra)
 

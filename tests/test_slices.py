@@ -259,54 +259,52 @@ class TestSectionNumbering:
                     for a in fibers[b]] == row
 
     @staticmethod
-    def _spied(f, g):
-        """_Sections(f, g), with the calls to its division decode recorded."""
-        sections, calls = _Sections(f, g), []
-        real = sections.decode
-        sections.decode = lambda at, ys: calls.append(1) or real(at, ys)
-        return sections, calls
+    def _values(f, g, ys_carrier, at, ys):
+        """The g.dom position of section ys[k]'s value at at[k], each read
+        off the section element (pi_section_value)."""
+        x, fdom, index = SliceObj(g), f.dom.elements, g.dom._index
+        return [index[pi_section_value(f, x, ys_carrier[y], fdom[a])]
+                for a, y in zip(at, ys)]
 
-    def _odometer_matches_division(self, f, g, data=None):
-        r = pi(f, SliceObj(g)).arrow
-        sq, runs = pullback(f, r), r.fiber_positions()
+    def _decode_gives_section_values(self, f, g, data=None):
+        """dist_pullback(f, g).p, and decode on the chosen apex perturbed,
+        against the section elements.  data draws the two points swapped;
+        without it the first and last are."""
+        d = dist_pullback(f, g)
+        sq, yelems = pullback(f, d.r), d.Y.elements
         at, ys = sq.proj1.idx, sq.proj2.idx
-        sections, calls = self._spied(f, g)
-        got = sections.odometer(at, ys, runs)
-        assert calls == []
-        assert got == sections.decode(at, ys)
-        if f.is_identity or not at or data is None:
-            return
-        short = FinFn(mk_finset([f"y{i}" for i in range(len(r.idx) - 1)]),
-                      r.cod, idx=r.idx[:-1])
+        assert d.q == sq.proj2
+        assert list(d.p.idx) == self._values(f, g, yelems, at, ys)
+        short = FinFn(mk_finset([f"y{i}" for i in range(len(d.r.idx) - 1)]),
+                      d.r.cod, idx=d.r.idx[:-1])
         sq = pullback(f, short)
-        assert (sections.odometer(sq.proj1.idx, sq.proj2.idx,
-                                  short.fiber_positions())
-                == sections.decode(sq.proj1.idx, sq.proj2.idx))
-        cases = [(at[:-1], ys[:-1]), (at + at[-1:], ys + ys[-1:])]
+        cases = [(at[:-1], ys[:-1]), (at + at[-1:], ys + ys[-1:]),
+                 (sq.proj1.idx, sq.proj2.idx)]
         if len(at) > 1:
-            i, j = data.draw(st.lists(st.integers(0, len(at) - 1),
-                                      min_size=2, max_size=2, unique=True))
+            i, j = (0, len(at) - 1) if data is None else data.draw(
+                st.lists(st.integers(0, len(at) - 1), min_size=2,
+                         max_size=2, unique=True))
             swapped_at, swapped_ys = list(at), list(ys)
             swapped_at[i], swapped_at[j] = at[j], at[i]
             swapped_ys[i], swapped_ys[j] = ys[j], ys[i]
-            cases.append((tuple(swapped_at), tuple(swapped_ys)))
+            cases.append((swapped_at, swapped_ys))
+        sections = _Sections(f, g)
         for other_at, other_ys in cases:
-            calls.clear()
-            got = sections.odometer(other_at, other_ys, runs)
-            assert calls == [1]
-            assert got == sections.decode(other_at, other_ys)
+            assert (sections.decode(other_at, other_ys)
+                    == self._values(f, g, yelems, other_at, other_ys))
 
     @given(chains(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_odometer_equals_division(self, chain, data):
-        """On the chosen apex the odometer decodes without dividing.  With
-        the apex's last point dropped or repeated, or two points swapped,
-        it falls back; so it does on pi's arrow less its last section."""
-        self._odometer_matches_division(*chain, data)
+    def test_decode_gives_the_section_values(self, chain, data):
+        """dist_pullback's p holds each section's value at its point.  So
+        does decode with the apex's last point dropped or repeated, or two
+        points swapped, and on the apex over pi's arrow less its last
+        section."""
+        self._decode_gives_section_values(*chain, data)
 
     @pytest.mark.parametrize("shape", ["empty f-fiber", "empty x-fiber",
                                        "f identity", "g identity"])
-    def test_odometer_on_degenerate_shapes(self, shape):
+    def test_decode_on_degenerate_shapes(self, shape):
         a, b = mk_finset(["a1", "a2", "a3"]), mk_finset(["b1", "b2", "b3"])
         z = mk_finset(["z1", "z2", "z3", "z4"])
         f = mk_fn(a, b, [(Atom("a1"), Atom("b1")), (Atom("a2"), Atom("b1")),
@@ -319,7 +317,7 @@ class TestSectionNumbering:
             f = identity_fn(a)
         if shape == "g identity":
             g = identity_fn(a)
-        self._odometer_matches_division(f, g)
+        self._decode_gives_section_values(f, g)
 
     def test_value_outside_its_fiber_is_rejected(self):
         a, b = mk_finset(["a1", "a2"]), mk_finset(["b"])

@@ -1,10 +1,13 @@
 """Expression parsing, encoding/decoding, and the counting cross-check."""
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyfin import gen
+from polyfin import gen, slices
 from polyfin.errors import (
     IncompleteAssignment,
     NotNameable,
@@ -23,7 +26,7 @@ from polyfin.symbolic import (
     substitute,
 )
 
-from support import recorded_builds
+from support import dropped_section_pi, recorded_builds
 
 EXPR = "x^3*y + 2 ; 3*x^2*z + y"
 VARS = ["w", "x", "y", "z"]
@@ -197,6 +200,28 @@ class TestEvalViaExtension:
         assert built == []
         assert counts == eval_sym(parse_poly(EXPR, in_vars=VARS), a)
         assert len(trace.dpb.Y) == sum(counts.values())
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_counts_are_the_product_fibers(self, seed):
+        """eval_with_trace sums the product's fiber sizes over each
+        p3-fiber.  That equals eval_sym and a recount of the output's table,
+        zeros included; and it equals the recount when a dropped-section pi
+        builds the product's arrow without pi's fibers."""
+        rng = gen.Draws(seed)
+        s = gen.rand_sympoly(rng)
+        p = encode(s)
+
+        def recount(trace):
+            sizes = Counter(trace.output.arrow.idx)
+            return {e.token: sizes[j] for j, e in enumerate(p.tgt)}
+
+        for a in (gen.rand_assignment(rng, s), dict.fromkeys(s.in_vars, 0)):
+            counts, trace = eval_with_trace(p, a)
+            assert counts == eval_sym(s, a) == recount(trace)
+            with mock.patch.object(slices, "pi", dropped_section_pi(slices.pi)):
+                counts, trace = eval_with_trace(p, a)
+            assert counts == recount(trace)
 
     def test_non_atom_target_is_not_nameable(self):
         bad = identity_poly(FinSetObj([Pair(Atom("o"), Atom("1"))]))
