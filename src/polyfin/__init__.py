@@ -28,11 +28,9 @@ from .finset import (
     compose_fn,
     identity_fn,
     mk_finset,
-    mk_fn,
     pullback,
 )
 from .slices import (
-    CommutingSquare,
     DistPB,
     SliceMor,
     SliceObj,
@@ -41,9 +39,7 @@ from .slices import (
     delta_component,
     dist_pullback,
     induce_sections,
-    left_bc_component,
     pi,
-    right_bc_component,
     sigma,
     terminal_slice,
 )
@@ -57,7 +53,6 @@ from .poly import (
     compose2,
     compose_seq,
     embed_map,
-    extend_right,
     hom_project,
     hom_pullback,
     identity_poly,

@@ -427,12 +427,6 @@ def mk_finset(tokens: list[str]) -> FinSetObj:
     return FinSetObj(Atom(t) for t in tokens)
 
 
-def mk_fn(dom: FinSetObj, cod: FinSetObj,
-          pairs: list[tuple[Element, Element]]) -> FinFn:
-    """Total function dom -> cod with the given graph."""
-    return FinFn(dom, cod, pairs)
-
-
 def identity_fn(obj: FinSetObj) -> FinFn:
     return _trusted_fn(obj, obj, tuple(range(len(obj))))
 
@@ -456,11 +450,11 @@ def _matching_pairs(f: FinFn, g: FinFn) -> tuple[tuple[int, ...],
     """
     fibers = g.fiber_positions()
     left, right = [], []
-    extend_left, extend_right = left.extend, right.extend
+    grow_left, grow_right = left.extend, right.extend
     for i, j in enumerate(f.idx):
         fib = fibers[j]
-        extend_left([i] * len(fib))
-        extend_right(fib)
+        grow_left([i] * len(fib))
+        grow_right(fib)
     return tuple(left), tuple(right)
 
 

@@ -275,11 +275,6 @@ class _Writer:
         return {"version": 2, "nodes": self.nodes, **fields}
 
 
-def element_to_json(e: Element) -> dict:
-    w = _Writer()
-    return w.payload(element=w.element(e))
-
-
 def fn_to_json(f: FinFn) -> dict:
     w = _Writer()
     return w.payload(**w.fn(f))
@@ -439,9 +434,6 @@ class _Reader:
         self.elems = elems
         self.sets: dict[tuple[int, ...], tuple[FinSetObj, bool]] = {}
 
-    def element(self, data: Any) -> Element:
-        return self.elems[_node_id(data, len(self.elems))]
-
     def _ids(self, data: Any) -> tuple[int, ...]:
         """The node ids of a set's array, each checked to be in range."""
         ids = _array(data)
@@ -499,11 +491,6 @@ def _as_parse_errors() -> Iterator[None]:
         raise ParseError(str(exc), 0) from exc
     except RecursionError:
         raise ParseError("elements are nested too deeply", 0) from None
-
-
-def element_from_json(data: Any) -> Element:
-    with _as_parse_errors():
-        return _reader(data).element(data.get("element"))
 
 
 def fn_from_json(data: Any) -> FinFn:

@@ -49,9 +49,10 @@ def extend_left(sdc: SubdividedComposite, p1: Polynomial
                 ) -> tuple[SubdividedComposite, SdCMorphism]:
     """Left extension by one polynomial, with its counit morphism.
 
-    The mirror of extend_right: a chain of distributivity pullbacks over
-    the existing stages followed by closing pullbacks.  Used as the
-    independent construction against which right extension is compared.
+    The mirror of the right extension that terminal_tower builds one
+    stage at a time: a chain of distributivity pullbacks over the existing
+    stages followed by closing pullbacks.  Used as the independent
+    construction against which right extension is compared.
     """
     from .finset import pullback
     m = len(sdc.over)

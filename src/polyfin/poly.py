@@ -315,20 +315,6 @@ class _Stage:
     eps: tuple[FinFn, ...]
 
 
-def extend_right(pn: Polynomial, sdc: SubdividedComposite
-                 ) -> tuple[SubdividedComposite, SdCMorphism]:
-    """Right extension of a subdivided composite by one more polynomial.
-
-    Returns the extended composite together with the counit morphism from
-    its restriction back to sdc; the counit exhibits the extension as the
-    value of the right adjoint to restriction.
-    """
-    stage = _extend_right_stage(pn, sdc)
-    stage.sdc.validate()
-    counit = SdCMorphism(restrict_last(stage.sdc), sdc, stage.eps)
-    return stage.sdc, counit
-
-
 def _extend_right_stage(pn: Polynomial, sdc: SubdividedComposite) -> _Stage:
     n_prev = len(sdc.over)
     if sdc.q3.cod != pn.src:

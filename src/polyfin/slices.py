@@ -3,8 +3,8 @@
 Provides the three change-of-base functors between slices (post-composition,
 pullback, dependent product), distributivity pullbacks with their
 terminality test, the comparison map whose invertibility characterizes
-terminality, Beck-Chevalley components for commuting squares, and the
-natural section triples of a distributivity pullback.
+terminality, and the natural section triples of a distributivity
+pullback.
 
 Dependent-product sections are numbered in one place, _Sections: a
 section over b is b's offset plus the mixed-radix number of its choices
@@ -46,7 +46,6 @@ from .finset import (
     PullbackSquare,
     Sect,
     _take,
-    check_pullback,
     compose_fn,
     identity_fn,
     lazy_finset,
@@ -501,74 +500,6 @@ def delta_component(d: DistPB, z: SliceObj) -> SliceMor:
         lambda es, at: [eps[v] for v in sections.decode(
             [locate[over[e], a] for e, a in zip(es, at)], es)],
         rhs.carrier))
-
-
-@dataclass(frozen=True)
-class CommutingSquare:
-    """A commuting square: right o top = bottom o left."""
-
-    top: FinFn
-    left: FinFn
-    right: FinFn
-    bottom: FinFn
-
-    def __post_init__(self):
-        if (self.top.dom != self.left.dom or self.top.cod != self.right.dom
-                or self.left.cod != self.bottom.dom
-                or self.right.cod != self.bottom.cod):
-            raise NotComposable("square boundaries do not match")
-        if compose_fn(self.right, self.top) != compose_fn(self.bottom, self.left):
-            raise IllFormedMorphism("square does not commute")
-
-    def is_pullback(self) -> bool:
-        sq = PullbackSquare(self.top.dom, self.top, self.left,
-                            self.right, self.bottom)
-        return check_pullback(sq)
-
-
-def left_bc_component(square: CommutingSquare, x: SliceObj) -> SliceMor:
-    """Component at x of the sum-then-pullback comparison of a square.
-
-    For the square with top f, left h, right k, bottom g, this is
-    sigma_f delta_h x -> delta_k sigma_g x; a bijection for every x
-    exactly when the square is a pullback.
-    """
-    f, h, k, g = square.top, square.left, square.right, square.bottom
-    if x.base != h.cod:
-        raise NotComposable("x must live over the lower-left object")
-    dh, eps_h = delta(h, x)
-    lhs = sigma(f, dh)
-    sg = sigma(g, x)
-    tgt_sq = pullback_square_for_delta(k, sg)
-    med = mediate(tgt_sq, eps_h, compose_fn(f, dh.arrow))
-    return SliceMor(lhs, SliceObj(tgt_sq.proj2), med)
-
-
-def right_bc_component(square: CommutingSquare, x: SliceObj) -> SliceMor:
-    """Component at x of the pullback-then-product comparison of a square.
-
-    For the square with top f, left h, right k, bottom g, this maps
-    delta_g pi_k x to pi_h delta_f x for x over the top-right object.
-    Built from two distributivity pullbacks and the induced comparison.
-    """
-    f, h, k, g = square.top, square.left, square.right, square.bottom
-    if x.base != k.dom:
-        raise NotComposable("x must live over the top-right object")
-    dpb1 = dist_pullback(k, x.arrow)
-    src_sq = pullback_square_for_delta(g, SliceObj(dpb1.r))
-    src = SliceObj(src_sq.proj2)
-    dfx_sq = pullback_square_for_delta(f, x)
-    dfx = SliceObj(dfx_sq.proj2)
-    dpb2 = dist_pullback(h, dfx.arrow)
-    tgt = SliceObj(dpb2.r)
-    top_sq = pullback_square_for_delta(dpb1.p, SliceObj(dfx_sq.proj1))
-    a4 = top_sq.apex
-    to_a2 = top_sq.proj1
-    to_b3 = top_sq.proj2
-    u = mediate(src_sq, compose_fn(dpb1.q, to_b3),
-                compose_fn(h, compose_fn(dfx.arrow, to_a2)))
-    _, t = dpb_compare(dpb2, to_a2, u, src.arrow)
-    return SliceMor(src, tgt, t)
 
 
 def induce_sections(d: DistPB, s1: FinFn | None = None,

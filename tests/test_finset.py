@@ -29,7 +29,6 @@ from polyfin.finset import (
     lazy_finset,
     mediate,
     mk_finset,
-    mk_fn,
     ordered_finset,
     pullback,
 )
@@ -171,24 +170,24 @@ class TestMkFinset:
 class TestMkFn:
     def test_identity(self):
         x = mk_finset(["a", "b"])
-        f = mk_fn(x, x, [(e, e) for e in x])
+        f = FinFn(x, x, [(e, e) for e in x])
         assert f.is_identity
 
     def test_missing_assignment(self):
         x = mk_finset(["a", "b"])
         with pytest.raises(IllFormedFunction):
-            mk_fn(x, x, [(Atom("a"), Atom("a"))])
+            FinFn(x, x, [(Atom("a"), Atom("a"))])
 
     def test_value_outside_codomain(self):
         x = mk_finset(["a"])
         y = mk_finset(["b"])
         with pytest.raises(IllFormedFunction):
-            mk_fn(x, y, [(Atom("a"), Atom("c"))])
+            FinFn(x, y, [(Atom("a"), Atom("c"))])
 
     def test_extra_assignment(self):
         x = mk_finset(["a"])
         with pytest.raises(IllFormedFunction):
-            mk_fn(x, x, [(Atom("a"), Atom("a")), (Atom("b"), Atom("a"))])
+            FinFn(x, x, [(Atom("a"), Atom("a")), (Atom("b"), Atom("a"))])
 
     def test_error_messages_and_precedence(self):
         x = mk_finset(["a", "b"])
@@ -376,19 +375,19 @@ class TestComposeFn:
         x = mk_finset(["a", "b"])
         y = mk_finset(["c", "d"])
         z = mk_finset(["e"])
-        f = mk_fn(x, y, [(Atom("a"), Atom("c")), (Atom("b"), Atom("d"))])
+        f = FinFn(x, y, [(Atom("a"), Atom("c")), (Atom("b"), Atom("d"))])
         c = constant_fn(y, z, Atom("e"))
         assert compose_fn(c, f) == constant_fn(x, z, Atom("e"))
 
     def test_singleton_chain(self):
         a, b, c = mk_finset(["a"]), mk_finset(["b"]), mk_finset(["c"])
-        f = mk_fn(a, b, [(Atom("a"), Atom("b"))])
-        g = mk_fn(b, c, [(Atom("b"), Atom("c"))])
-        assert compose_fn(g, f) == mk_fn(a, c, [(Atom("a"), Atom("c"))])
+        f = FinFn(a, b, [(Atom("a"), Atom("b"))])
+        g = FinFn(b, c, [(Atom("b"), Atom("c"))])
+        assert compose_fn(g, f) == FinFn(a, c, [(Atom("a"), Atom("c"))])
 
     def test_boundary_mismatch(self):
         a, b = mk_finset(["a"]), mk_finset(["b"])
-        f = mk_fn(a, b, [(Atom("a"), Atom("b"))])
+        f = FinFn(a, b, [(Atom("a"), Atom("b"))])
         with pytest.raises(NotComposable):
             compose_fn(f, f)
 
@@ -458,8 +457,8 @@ class TestPullback:
         a = mk_finset(["a1", "a2"])
         b = mk_finset(["b1"])
         c = mk_finset(["c1", "c2"])
-        f = mk_fn(a, c, [(Atom("a1"), Atom("c1")), (Atom("a2"), Atom("c2"))])
-        g = mk_fn(b, c, [(Atom("b1"), Atom("c1"))])
+        f = FinFn(a, c, [(Atom("a1"), Atom("c1")), (Atom("a2"), Atom("c2"))])
+        g = FinFn(b, c, [(Atom("b1"), Atom("c1"))])
         sq = pullback(f, g)
         assert list(sq.apex) == [Pair(Atom("a1"), Atom("b1"))]
         assert check_pullback(sq)
@@ -572,8 +571,8 @@ class TestLazyFinSet:
 class TestCheckPullback:
     def test_doubled_apex_rejected(self):
         a, b, c = mk_finset(["a"]), mk_finset(["b"]), mk_finset(["c"])
-        f = mk_fn(a, c, [(Atom("a"), Atom("c"))])
-        g = mk_fn(b, c, [(Atom("b"), Atom("c"))])
+        f = FinFn(a, c, [(Atom("a"), Atom("c"))])
+        g = FinFn(b, c, [(Atom("b"), Atom("c"))])
         apex = mk_finset(["u", "v"])
         sq = PullbackSquare(apex, constant_fn(apex, a, Atom("a")),
                             constant_fn(apex, b, Atom("b")), f, g)
@@ -585,7 +584,7 @@ class TestCheckPullback:
         one never: only the distinctness of the pairs rejects it."""
         a, b, c = mk_finset(["a1", "a2"]), mk_finset(["b"]), mk_finset(["c"])
         f = constant_fn(a, c, Atom("c"))
-        g = mk_fn(b, c, [(Atom("b"), Atom("c"))])
+        g = FinFn(b, c, [(Atom("b"), Atom("c"))])
         apex = mk_finset(["u", "v"])
         sq = PullbackSquare(apex, constant_fn(apex, a, Atom("a1")),
                             constant_fn(apex, b, Atom("b")), f, g)
@@ -595,13 +594,13 @@ class TestCheckPullback:
 
     def test_empty_square(self):
         e = mk_finset([])
-        f = mk_fn(e, e, [])
+        f = FinFn(e, e, [])
         sq = PullbackSquare(e, f, f, f, f)
         assert check_pullback(sq)
 
     def test_noncommuting_raises(self):
         two = mk_finset(["a", "b"])
-        swap = mk_fn(two, two, [(Atom("a"), Atom("b")), (Atom("b"), Atom("a"))])
+        swap = FinFn(two, two, [(Atom("a"), Atom("b")), (Atom("b"), Atom("a"))])
         sq = PullbackSquare(two, identity_fn(two), identity_fn(two),
                             identity_fn(two), swap)
         with pytest.raises(NotASquare):
@@ -839,10 +838,10 @@ class TestCheckPullbackIndependence:
         self._fails_validation(lambda: compose_seq(self._links()))
 
     def test_right_extension_fails_validation(self, dropping_pullback):
-        from polyfin.poly import extend_right, terminal_sdc
+        from polyfin.poly import terminal_tower
         p, q = self._links()
-        first = terminal_sdc([p])
-        self._fails_validation(lambda: extend_right(q, first))
+        terminal_tower([p])
+        self._fails_validation(lambda: terminal_tower([p, q]))
 
     def test_flattened_two_leaf_tree_fails_validation(self,
                                                        dropping_pullback):
@@ -878,8 +877,8 @@ class TestMediate:
 
     def test_non_cone_rejected(self):
         a, b, c = mk_finset(["a"]), mk_finset(["b"]), mk_finset(["c1", "c2"])
-        f = mk_fn(a, c, [(Atom("a"), Atom("c1"))])
-        g = mk_fn(b, c, [(Atom("b"), Atom("c2"))])
+        f = FinFn(a, c, [(Atom("a"), Atom("c1"))])
+        g = FinFn(b, c, [(Atom("b"), Atom("c2"))])
         sq = pullback(f, g)
         t = mk_finset(["t"])
         with pytest.raises(NotASquare):
@@ -959,7 +958,9 @@ def test_json_roundtrip(rng):
     sq = pullback(constant_fn(mk_finset(["a"]), mk_finset(["z"]), Atom("z")),
                   constant_fn(mk_finset(["b"]), mk_finset(["z"]), Atom("z")))
     pair = sq.apex.elements[0]
-    assert jsonio.element_from_json(jsonio.element_to_json(pair)) == pair
     table = Sect([(Atom("k1"), Atom("v1")), (Atom("k2"), Atom("v2")),
                   (Atom("k3"), Atom("v3"))])
-    assert jsonio.element_from_json(jsonio.element_to_json(table)) == table
+    for e in (pair, table):
+        f = identity_fn(FinSetObj([e]))
+        back = jsonio.fn_from_json(jsonio.fn_to_json(f))
+        assert back == f and back.dom.elements == (e,)

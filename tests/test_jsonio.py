@@ -18,6 +18,7 @@ from polyfin.finset import (
     Pair,
     PullbackSquare,
     Sect,
+    identity_fn,
     lazy_finset,
     pending_build,
 )
@@ -43,9 +44,11 @@ def _through_text(data):
 @settings(max_examples=200, deadline=None)
 @given(elements)
 def test_element_reads_back_equal(e):
-    data = _through_text(jsonio.element_to_json(e))
+    f = identity_fn(FinSetObj([e]))
+    data = _through_text(jsonio.fn_to_json(f))
     assert data["version"] == 2
-    assert jsonio.element_from_json(data) == e
+    back = jsonio.fn_from_json(data)
+    assert back == f and back.dom.elements == (e,)
 
 
 def _post_order(e, ids, nodes):
@@ -105,10 +108,13 @@ def test_writer_writes_each_element_once():
 
 def test_reader_shares_a_node_within_one_call_only():
     raw = {"version": 2, "nodes": [["atom", "b"], ["pair", 0, 0],
-                                   ["pair", 1, 1]], "element": 2}
-    e = jsonio.element_from_json(raw)
+                                   ["pair", 1, 1]],
+           "dom": [2], "cod": [2], "map": [0]}
+    f = jsonio.fn_from_json(raw)
+    e = f.dom.elements[0]
     assert isinstance(e, Pair) and e.left is e.right
-    again = jsonio.element_from_json(raw)
+    assert f.cod.elements[0] is e
+    again = jsonio.fn_from_json(raw).dom.elements[0]
     assert again == e and again is not e
 
 

@@ -15,17 +15,20 @@ counterexample in the report.
 
 import ast
 import dataclasses
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import polyfin
 import polyfin.extension
 import polyfin.finset
 import polyfin.laws
 import polyfin.poly
 import polyfin.slices
-from polyfin import gen
+from polyfin import cli, gen
 from polyfin.finset import FinFn, FinSetObj, Pair
 from polyfin.gen import InstanceGenConfig
 from polyfin.laws import LAWS, run_law
@@ -66,6 +69,56 @@ def test_no_module_rebinds_a_global():
         assert not any(isinstance(n, ast.Global) for n in ast.walk(tree)), \
             path.name
     assert not hasattr(gen, "reset_counter")
+
+
+def test_every_export_is_reached_by_a_law_or_a_command(tmp_path, capsys):
+    """No dead exports: every function the package exports is called, and
+    every exported class with its own __init__ is constructed, by the law
+    run or the README's command block, with no allowlist."""
+    def at(name):
+        return str(tmp_path / name)
+
+    runs = [
+        ["check", "--law", "all", "--seed", "42", "--cases", "1"],
+        ["encode", "x^3y + 2 ; 3x^2z + y", "--in", "w,x,y,z", "-o", at("p")],
+        ["decode", at("p")],
+        ["eval", at("p"), "--assign", "w=7,x=2,y=3,z=5"],
+        ["eval", at("p"), "--assign", "w=1,x=1,y=1,z=1", "--trace"],
+        ["encode", "x^2", "--in", "x", "--out", "y", "-o", at("sq")],
+        ["encode", "y^3 + 1", "--in", "y", "--out", "z", "-o", at("cube")],
+        ["compose", at("sq"), at("cube"), "-o", at("comp")],
+        ["decode", at("comp")],
+        ["list-laws"],
+    ]
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [cli.main(argv) for argv in runs]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(runs)
+    unreached = []
+    for name in polyfin.__all__:
+        obj = getattr(polyfin, name)
+        if not getattr(obj, "__module__", "").startswith("polyfin"):
+            continue
+        if inspect.isfunction(obj):
+            code = obj.__code__
+        elif (inspect.isclass(obj) and not issubclass(obj, BaseException)
+              and "__init__" in vars(obj)):
+            code = obj.__init__.__code__
+        else:
+            continue
+        if code not in called:
+            unreached.append(name)
+    assert not unreached, f"exports no law or command reaches: {unreached}"
 
 
 def test_records_store_no_set_their_maps_determine():

@@ -19,7 +19,6 @@ from polyfin.finset import (
     compose_fn,
     identity_fn,
     mk_finset,
-    mk_fn,
 )
 from polyfin.poly import (
     CartesianMorphism,
@@ -36,7 +35,6 @@ from polyfin.poly import (
     compose2,
     compose_seq,
     embed_map,
-    extend_right,
     flatten_bracketing,
     hom_project,
     hom_pullback,
@@ -241,18 +239,29 @@ class TestSharedTowers:
 
 
 class TestExtensions:
+    @staticmethod
+    def _last_counit(tower):
+        """The counit of the tower's last right extension, from the
+        composite without its last link back to the one-link-shorter
+        tower; constructing it checks every counit triangle."""
+        prefix = TerminalTower(tower.base, tower.stages[:-1]).sdc
+        return SdCMorphism(restrict_last(tower.sdc), prefix,
+                           tower.stages[-1].eps)
+
     def test_extend_right_from_endospan(self, rng):
         p = gen.rand_poly(rng, 3)
-        ext, counit = extend_right(p, identity_endospan(p.src))
-        assert ext == unary_sdc(p)
-        assert counit.ts == (p.p1,)
+        tower = terminal_tower([p])
+        assert tower.base == identity_endospan(p.src)
+        assert tower.sdc == unary_sdc(p)
+        assert tower.stages[0].eps == (p.p1,)
+        assert self._last_counit(tower).ts == (p.p1,)
 
     def test_extend_right_invariants(self, rng):
         for _ in range(8):
             p, q = gen.rand_composable(rng, 2, 3)
-            ext, counit = extend_right(q, unary_sdc(p))
-            assert ext.over == (p, q)
-            assert counit.tgt == unary_sdc(p)
+            tower = terminal_tower([p, q])
+            assert tower.sdc.over == (p, q)
+            assert self._last_counit(tower).tgt == unary_sdc(p)
 
     def test_extend_left_identity_counit(self, rng):
         q = gen.rand_poly(rng, 2)
@@ -284,15 +293,19 @@ class TestExtensions:
             assert mediate_into_tower(tower, ext).is_iso
 
     def test_restrict_last_counit_source(self, rng):
-        p, q = gen.rand_composable(rng, 2, 2)
-        ext, counit = extend_right(q, unary_sdc(p))
-        assert counit.src == restrict_last(ext)
+        for _ in range(5):
+            p, q, r = gen.rand_composable(rng, 3, 2)
+            tower = terminal_tower([p, q, r])
+            counit = self._last_counit(tower)
+            assert counit.src == restrict_last(tower.sdc)
+            assert counit.src.over == (p, q)
+            assert counit.tgt == terminal_sdc([p, q])
 
 
 class TestMediateIntoTower:
     def test_empty_sequence_needs_q1_equal_to_q3(self):
         x = mk_finset(["a", "b"])
-        swap = mk_fn(x, x, [(Atom("a"), Atom("b")), (Atom("b"), Atom("a"))])
+        swap = FinFn(x, x, [(Atom("a"), Atom("b")), (Atom("b"), Atom("a"))])
         sdc = SubdividedComposite(over=(), q1=identity_fn(x), q2s=(), q3=swap,
                                   rs=(), ss=())
         with pytest.raises(NotComposable,

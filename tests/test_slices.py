@@ -22,12 +22,10 @@ from polyfin.finset import (
     compose_fn,
     identity_fn,
     mk_finset,
-    mk_fn,
     pullback,
 )
 from polyfin.oracles import pi_make_element, pi_section_value
 from polyfin.slices import (
-    CommutingSquare,
     DistPB,
     SliceObj,
     check_dpb_terminal,
@@ -38,12 +36,10 @@ from polyfin.slices import (
     dpb_compare,
     dpb_mediate,
     induce_sections,
-    left_bc_component,
     _Sections,
     _count_dpb_mediators,
     pi,
     pi_tabulate,
-    right_bc_component,
     sigma,
     sigma_delta_transpose,
     slice_homset,
@@ -109,7 +105,7 @@ class TestSigma:
 
     def test_two_point_carrier(self):
         a, b = mk_finset(["a"]), mk_finset(["b"])
-        f = mk_fn(a, b, [(Atom("a"), Atom("b"))])
+        f = FinFn(a, b, [(Atom("a"), Atom("b"))])
         x = const_slice("c", 2, a, Atom("a"))
         out = sigma(f, x)
         assert out.base == b and len(out.carrier) == 2
@@ -159,7 +155,7 @@ class TestPi:
         a, b = mk_finset(["a1", "a2"]), mk_finset(["b"])
         f = constant_fn(a, b, Atom("b"))
         carrier = mk_finset(["c1", "c2", "d1", "d2", "d3"])
-        x = SliceObj(mk_fn(carrier, a, [
+        x = SliceObj(FinFn(carrier, a, [
             (Atom("c1"), Atom("a1")), (Atom("c2"), Atom("a1")),
             (Atom("d1"), Atom("a2")), (Atom("d2"), Atom("a2")),
             (Atom("d3"), Atom("a2"))]))
@@ -307,9 +303,9 @@ class TestSectionNumbering:
     def test_decode_on_degenerate_shapes(self, shape):
         a, b = mk_finset(["a1", "a2", "a3"]), mk_finset(["b1", "b2", "b3"])
         z = mk_finset(["z1", "z2", "z3", "z4"])
-        f = mk_fn(a, b, [(Atom("a1"), Atom("b1")), (Atom("a2"), Atom("b1")),
+        f = FinFn(a, b, [(Atom("a1"), Atom("b1")), (Atom("a2"), Atom("b1")),
                          (Atom("a3"), Atom("b2"))])
-        g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
+        g = FinFn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
                          (Atom("z3"), Atom("a2")),
                          (Atom("z4"), Atom("a3" if shape != "empty x-fiber"
                                            else "a1"))])
@@ -323,7 +319,7 @@ class TestSectionNumbering:
         a, b = mk_finset(["a1", "a2"]), mk_finset(["b"])
         z = mk_finset(["z1", "z2"])
         f = constant_fn(a, b, Atom("b"))
-        g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a2"))])
+        g = FinFn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a2"))])
         y = pi(f, SliceObj(g))
         with pytest.raises(IllFormedFunction, match="outside its fiber"):
             pi_tabulate(f, SliceObj(g), y.arrow,
@@ -333,7 +329,7 @@ class TestSectionNumbering:
         a, b = mk_finset(["a1", "a2"]), mk_finset(["b"])
         z = mk_finset(["z1", "z2", "z3"])
         f = constant_fn(a, b, Atom("b"))
-        g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
+        g = FinFn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
                          (Atom("z3"), Atom("a2"))])
         y = pi(f, SliceObj(g))
         short = FinSetObj(y.carrier.elements[:-1])
@@ -451,7 +447,7 @@ class TestDistPullback:
         b = mk_finset(["b"])
         z = mk_finset(["z1", "z2", "w1", "w2", "w3"])
         f = constant_fn(a, b, Atom("b"))
-        g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
+        g = FinFn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
                          (Atom("w1"), Atom("a2")), (Atom("w2"), Atom("a2")),
                          (Atom("w3"), Atom("a2"))])
         d = dist_pullback(f, g)
@@ -559,7 +555,7 @@ def _chosen_dpb():
     b = mk_finset(["b"])
     z = mk_finset(["z1", "z2", "z3"])
     f = constant_fn(a, b, Atom("b"))
-    g = mk_fn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
+    g = FinFn(z, a, [(Atom("z1"), Atom("a1")), (Atom("z2"), Atom("a1")),
                      (Atom("z3"), Atom("a2"))])
     return dist_pullback(f, g)
 
@@ -787,104 +783,6 @@ class TestSectionCount:
         for target, cand in product(family, repeat=2):
             assert (_count_dpb_mediators(target, cand)
                     == summed_dpb_mediators(target, cand))
-
-
-class TestBeckChevalley:
-    def _square(self, rng, force_pullback):
-        from polyfin.finset import pullback
-        b = gen.rand_set(rng, 3, "b")
-        c = gen.rand_set(rng, 3, "c")
-        dd = gen.rand_set(rng, 3, "d")
-        k = gen.rand_fn(rng, b, dd)
-        g = gen.rand_fn(rng, c, dd)
-        if force_pullback:
-            sq = pullback(k, g)
-            return CommutingSquare(sq.proj1, sq.proj2, k, g)
-        a = gen.rand_set(rng, 3, "a", min_size=0)
-        cands = [(x, y) for x in b for y in c if k(x) == g(y)]
-        if not cands:
-            return None
-        choice = [rng.choice(cands) for _ in a]
-        f = FinFn(a, b, [(e, bc[0]) for e, bc in zip(a.elements, choice)])
-        h = FinFn(a, c, [(e, bc[1]) for e, bc in zip(a.elements, choice)])
-        return CommutingSquare(f, h, k, g)
-
-    def test_pullback_squares_give_bijections(self, rng):
-        for _ in range(10):
-            sq = self._square(rng, True)
-            for x in (terminal_slice(sq.left.cod),
-                      gen.doubled_slice(sq.left.cod)):
-                assert left_bc_component(sq, x).is_bijective
-            for x in (terminal_slice(sq.right.dom),
-                      gen.doubled_slice(sq.right.dom)):
-                assert right_bc_component(sq, x).is_bijective
-
-    def test_non_pullbacks_detected(self, rng):
-        hits = 0
-        for _ in range(40):
-            sq = self._square(rng, False)
-            if sq is None or sq.is_pullback():
-                continue
-            hits += 1
-            alphas = [left_bc_component(sq, x).is_bijective
-                      for x in (terminal_slice(sq.left.cod),
-                                gen.doubled_slice(sq.left.cod))]
-            betas = [right_bc_component(sq, x).is_bijective
-                     for x in (terminal_slice(sq.right.dom),
-                               gen.doubled_slice(sq.right.dom))]
-            assert not all(alphas)
-            assert not all(betas)
-        assert hits >= 8
-
-    def test_right_cell_at_terminal_is_always_bijective(self, rng):
-        for _ in range(15):
-            sq = self._square(rng, False)
-            if sq is None:
-                continue
-            comp = right_bc_component(sq, terminal_slice(sq.right.dom))
-            assert comp.is_bijective
-
-    def test_left_cell_matches_element_formula(self, rng):
-        from polyfin.slices import pullback_square_for_delta
-        for _ in range(8):
-            sq = self._square(rng, rng.random() < 0.5)
-            if sq is None:
-                continue
-            f, h, k, g = sq.top, sq.left, sq.right, sq.bottom
-            for x in (terminal_slice(h.cod), gen.doubled_slice(h.cod)):
-                comp = left_bc_component(sq, x)
-                dh_sq = pullback_square_for_delta(h, x)
-                tgt_sq = pullback_square_for_delta(k, sigma(g, x))
-                index = {(tgt_sq.proj1(e), tgt_sq.proj2(e)): e
-                         for e in tgt_sq.apex}
-                for e in dh_sq.apex:
-                    expected = index[(dh_sq.proj1(e), f(dh_sq.proj2(e)))]
-                    assert comp.mediating(e) == expected
-
-    def test_right_cell_matches_element_formula(self, rng):
-        from polyfin.slices import pullback_square_for_delta
-        for _ in range(8):
-            sq = self._square(rng, rng.random() < 0.5)
-            if sq is None:
-                continue
-            f, h, k, g = sq.top, sq.left, sq.right, sq.bottom
-            for x in (terminal_slice(k.dom), gen.doubled_slice(k.dom)):
-                comp = right_bc_component(sq, x)
-                d1 = dist_pullback(k, x.arrow)
-                src_sq = pullback_square_for_delta(g, SliceObj(d1.r))
-                dfx_sq = pullback_square_for_delta(f, x)
-                dfx = SliceObj(dfx_sq.proj2)
-                dfx_index = {(dfx_sq.proj1(e), dfx_sq.proj2(e)): e
-                             for e in dfx_sq.apex}
-                for e in src_sq.apex:
-                    y = src_sq.proj1(e)
-                    c = src_sq.proj2(e)
-                    values = {}
-                    for a in h.fiber(c):
-                        v = pi_section_value(k, x, y, f(a))
-                        values[a] = dfx_index[(v, a)]
-                    expected = pi_make_element(h, dfx, c, values)
-                    assert comp.mediating(e) == expected
 
 
 class TestSections:
