@@ -40,9 +40,9 @@ how the set is made: ApexRecipe lists a pullback apex as pairs of
 positions in its legs' domains, and slices.SectionsRecipe a dependent
 product's carrier by its section numbering.  So a reader such as the
 JSON writer can name an element by its place in those tables without
-building the set, and checks the canonical order on the positions
-instead.  Like a closure, the recipe is dropped once the set is built,
-so it keeps nothing alive past that.
+building the set, and runs the one canonical-order check,
+_check_canonical, on the positions instead.  Like a closure, the recipe
+is dropped once the set is built, so it keeps nothing alive past that.
 
 mediate's map into a pullback apex is unique by construction, so nothing
 re-verifies it; slices.dpb_compare counts its mediators on every call.
@@ -73,9 +73,6 @@ class Element:
 
     def __lt__(self, other: "Element") -> bool:
         return self._key < other._key
-
-    def __le__(self, other: "Element") -> bool:
-        return self._key <= other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -195,9 +192,17 @@ class FinSetObj:
 def ordered_finset(elems: list[Element]) -> FinSetObj:
     """The set of elems, whose positions the caller takes from elems' order."""
     obj = FinSetObj(elems)
-    if not all(map(is_, obj.elements, elems)):
-        raise AssertionError("construction did not emit canonical order")
+    _check_canonical(True, all(map(is_, obj.elements, elems)))
     return obj
+
+
+def _check_canonical(sized: bool, ordered: bool) -> None:
+    """Refuse a construction that broke its promised size or order."""
+    if not sized:
+        raise AssertionError("construction emitted the wrong number "
+                             "of elements")
+    if not ordered:
+        raise AssertionError("construction did not emit canonical order")
 
 
 class _LazyFinSet(FinSetObj):
@@ -217,9 +222,7 @@ class _LazyFinSet(FinSetObj):
         if name not in ("elements", "_index"):
             raise AttributeError(name)
         built = ordered_finset(self._build())
-        if len(built.elements) != self._size:
-            raise AssertionError("construction emitted the wrong number "
-                                 "of elements")
+        _check_canonical(len(built.elements) == self._size, True)
         self.elements, self._index = built.elements, built._index
         self._build = None
         return built.elements if name == "elements" else built._index

@@ -23,11 +23,11 @@ not built yet and was made by a recipe (finset.ApexRecipe for a pullback
 apex, slices.SectionsRecipe for a dependent product's carrier) is read by
 position from its recipe, and nothing is built: an apex point is the
 pair of its projections' positions, a section is decoded from its
-number.  The positions are checked instead of the built set: an apex's
-projection pairs must strictly ascend and a carrier's numbering must not
-go back to an earlier point of the base, or the write fails as
-ordered_finset would.  Any other set is walked element by element.  Both
-walks emit nodes in the post-order of a left-to-right walk of the
+number.  The positions are checked instead of the built set, by the
+check a build runs, finset._check_canonical: an apex's projection pairs
+must strictly ascend and a carrier's numbering must not go back to an
+earlier point of the base.  Any other set is walked element by element.
+Both walks emit nodes in the post-order of a left-to-right walk of the
 elements.  to_text renders a payload as json.dumps(indent=2,
 sort_keys=True) does, byte for byte.  The reader builds one set per
 distinct id array, and reads a function's map as its position table when
@@ -58,6 +58,7 @@ from .finset import (
     FinSetObj,
     Pair,
     Sect,
+    _check_canonical,
     _take,
     pending_build,
 )
@@ -143,16 +144,6 @@ class _SectionsWalk(_Walk):
         ids = [pw.ids[j] for pw, j in parts]
         sect = w.node(("sect", tuple(zip(ids[1::2], ids[2::2]))))
         return w.node(("pair", ids[0], sect))
-
-
-def _check_canonical(sized: bool, ordered: bool) -> None:
-    """What ordered_finset and the lazy build check, for a set read from
-    its recipe: as many elements as promised, in canonical order."""
-    if not sized:
-        raise AssertionError("construction emitted the wrong number "
-                             "of elements")
-    if not ordered:
-        raise AssertionError("construction did not emit canonical order")
 
 
 class _Writer:

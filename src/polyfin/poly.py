@@ -22,9 +22,10 @@ sequence and mediated into the terminal one, never searched for.
 Inside shared_towers(), which the law harness opens around each case,
 towers share their stages by value: the stage built over a sequence
 prefix is reused by every later tower whose sequence starts with an
-equal prefix.  The block's memo dies with it.  Composites that towers
-and flattenings build are assembled unchecked and validated once, where
-terminal_tower or flatten_bracketing returns them.
+equal prefix.  The block's memo dies with it.  A tower grows from an
+identity base over a checked sequence, so a stage checks no boundary.
+Towers and flattenings assemble composites unchecked and validate each
+once, where terminal_tower or flatten_bracketing returns it.
 """
 
 from __future__ import annotations
@@ -317,10 +318,6 @@ class _Stage:
 
 def _extend_right_stage(pn: Polynomial, sdc: SubdividedComposite) -> _Stage:
     n_prev = len(sdc.over)
-    if sdc.q3.cod != pn.src:
-        raise NotComposable("extension polynomial does not start at the end")
-    if n_prev == 0 and sdc.q1 != sdc.q3:
-        raise NotComposable("right extension of an endospan needs q1 = q3")
     csq = pullback(sdc.q3, pn.p1)
     dpb = dist_pullback(pn.p2, csq.proj2)
     eps: list[FinFn | None] = [None] * (n_prev + 1)
@@ -361,10 +358,10 @@ class TerminalTower:
 @dataclass
 class _TowerMemo:
     """Stages of one shared_towers() block, keyed by their sequence prefix,
-    and the prefixes whose composite has been validated."""
+    and the keys of the towers whose composite has been validated."""
 
     stages: dict[tuple[Polynomial, ...], _Stage]
-    validated: set[tuple[Polynomial, ...]]
+    validated: set[tuple]
 
 
 _TOWERS: ContextVar[_TowerMemo | None] = ContextVar("polyfin_towers",
@@ -387,22 +384,20 @@ def shared_towers() -> Iterator[None]:
 
 def terminal_tower(seq: list[Polynomial],
                    at: FinSetObj | None = None) -> TerminalTower:
-    """The terminal composite over seq, built one right extension at a time.
-
+    """The terminal composite over seq, built one right extension at a time
+    from the identity composite at seq[0].src, or at at when seq is empty.
     Inside shared_towers() stage k is taken from the block's memo when an
     equal prefix seq[:k+1] was built before.  The returned composite is
-    validated, once per memo entry.
+    validated once per memo key, seq or, when seq is empty, (at,).
     """
     seq = tuple(seq)
     for a, b in zip(seq, seq[1:]):
         if a.tgt != b.src:
             raise NotComposable("sequence is not composable")
-    if not seq:
-        if at is None:
-            raise NotComposable("an empty sequence needs a base object")
-        return TerminalTower(identity_endospan(at), ())
+    if not seq and at is None:
+        raise NotComposable("an empty sequence needs a base object")
     memo = _TOWERS.get()
-    base = _trusted_sdc(**_identity_components(seq[0].src))
+    base = _trusted_sdc(**_identity_components(seq[0].src if seq else at))
     stages: list[_Stage] = []
     for k, p in enumerate(seq):
         prev = stages[-1].sdc if stages else base
@@ -413,11 +408,13 @@ def terminal_tower(seq: list[Polynomial],
         if stage is None:
             stage = memo.stages[seq[:k + 1]] = _extend_right_stage(p, prev)
         stages.append(stage)
-    if memo is None or seq not in memo.validated:
-        stages[-1].sdc.validate()
+    tower = TerminalTower(base, tuple(stages))
+    key = seq or (at,)
+    if memo is None or key not in memo.validated:
+        tower.sdc.validate()
         if memo is not None:
-            memo.validated.add(seq)
-    return TerminalTower(base, tuple(stages))
+            memo.validated.add(key)
+    return tower
 
 
 def terminal_sdc(seq: list[Polynomial],
@@ -690,9 +687,9 @@ def sdc_morphisms(src: SubdividedComposite,
     Enumerates the components' position tables stage by stage.  At each
     point ts[i] takes only the values its two triangles admit (q1 or
     ss[i-1], and q3 or rs[i]), and where src.q2s[i-1] hits a point, the
-    q2 square against ts[i-1] fixes the value.  Every survivor is still
-    checked by SdCMorphism.  Exhaustive, in lexicographic order of the
-    full function spaces; never mediates.
+    q2 square against ts[i-1] fixes the value.  So every survivor passes
+    SdCMorphism's checks, which raise on an admission bug.  Exhaustive, in
+    lexicographic order of the full function spaces; never mediates.
     """
     if src.over != tgt.over:
         return []
@@ -721,10 +718,7 @@ def _sdc_stages(src: SubdividedComposite, tgt: SubdividedComposite,
     """
     i = len(ts)
     if i == len(admitted):
-        try:
-            out.append(SdCMorphism(src, tgt, tuple(ts)))
-        except NotComposable:
-            pass
+        out.append(SdCMorphism(src, tgt, tuple(ts)))
         return
     choices = admitted[i]
     if i > 0:

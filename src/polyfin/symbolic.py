@@ -88,6 +88,9 @@ class SymPoly:
         return " ; ".join(parts)
 
 
+# encode of a text at this many elements, |A| + |B|, takes about two seconds.
+MAX_ELEMENTS = 100_000
+
 _TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<var>[A-Za-z_]\w*)"
                     r"|(?P<op>[;+*^]))")
 
@@ -115,18 +118,21 @@ def parse_poly(text: str, in_vars: list[str] | None = None,
     Each term is an optional leading natural coefficient followed by
     factors var or var^k, with '*' optional between factors.  A bare
     natural n stands for n copies of the empty monomial; 0 annihilates
-    its term.  Input and output names must not repeat.
+    its term.  Input and output names must not repeat.  A text whose |A|
+    + |B| would pass MAX_ELEMENTS is refused before its terms are built.
     """
     tokens = _tokenize(text)
     outputs: list[list[Monomial]] = []
     seen_vars: list[str] = []
+    size = [0, 0]  # |A| and |B| of the terms read so far
     i = 0
 
     def parse_term() -> list[Monomial]:
         nonlocal i
+        start = tokens[i][2] if i < len(tokens) else len(text)
         coeff = 1
         has_body = False
-        usages: list[str] = []
+        factors: list[tuple[str, int]] = []
         if i < len(tokens) and tokens[i][0] == "nat":
             coeff = int(tokens[i][1])
             i += 1
@@ -149,22 +155,27 @@ def parse_poly(text: str, in_vars: list[str] | None = None,
                 i += 1
             if value not in seen_vars:
                 seen_vars.append(value)
-            usages.extend([value] * power)
+            factors.append((value, power))
             if i < len(tokens) and tokens[i][:2] == ("op", "*"):
                 i += 1
                 if i >= len(tokens) or tokens[i][0] not in ("var", "nat"):
                     raise ParseError("'*' needs a following factor",
                                      tokens[i - 1][2])
         if not has_body:
-            pos = tokens[i][2] if i < len(tokens) else len(text)
-            raise ParseError("empty term", pos)
+            raise ParseError("empty term", start)
+        size[0] += coeff * sum(power for _, power in factors)
+        size[1] += coeff
+        if sum(size) > MAX_ELEMENTS:
+            raise ParseError(f"the diagram would have |A| >= {size[0]} and "
+                             f"|B| >= {size[1]}, over {MAX_ELEMENTS}", start)
+        usages = [v for v, power in factors if coeff for _ in range(power)]
         return [tuple(sorted(usages))] * coeff
 
     while True:
         terms = parse_term()
         while i < len(tokens) and tokens[i][:2] == ("op", "+"):
             i += 1
-            terms = terms + parse_term()
+            terms += parse_term()
         outputs.append(terms)
         if i >= len(tokens):
             break

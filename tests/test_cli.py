@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -65,6 +66,27 @@ class TestEncode:
         assert code == 2 and out == ""
         assert err.startswith("parse error") and "Traceback" not in err
         assert "is repeated" in err
+
+    @pytest.mark.parametrize("text, sizes", [
+        ("x^99999999", "|A| >= 99999999 and |B| >= 1"),
+        ("99999999x", "|A| >= 99999999 and |B| >= 99999999")])
+    def test_huge_term_exits_2_under_a_memory_cap(self, text, sizes):
+        """Both sizes come from the tokens, before any list is built: under
+        a 1.5 GB address-space cap, set in the child only, encode exits 2
+        within a second of CPU time and writes no traceback."""
+        cap = 1536 << 20
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyfin", "encode", text],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("parse error: ")
+        assert sizes in proc.stderr and "Traceback" not in proc.stderr
+        assert (after.ru_utime + after.ru_stime
+                - before.ru_utime - before.ru_stime) < 1
 
 
 class TestDecode:

@@ -121,6 +121,29 @@ def test_every_export_is_reached_by_a_law_or_a_command(tmp_path, capsys):
     assert not unreached, f"exports no law or command reaches: {unreached}"
 
 
+def test_every_private_helper_has_a_caller():
+    """No dead helpers: each module-level function or class named with one
+    leading underscore is referenced somewhere in the package outside its
+    own definition, so a fold that leaves a helper without callers fails
+    here, naming it."""
+    trees = [ast.parse(path.read_text())
+             for path in Path(polyfin.laws.__file__).parent.glob("*.py")]
+    helpers = {node: node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")}
+
+    def references(root):
+        return [n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(root)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    used = [name for tree in trees for name in references(tree)]
+    dead = sorted(name for node, name in helpers.items()
+                  if used.count(name) == references(node).count(name))
+    assert not dead, f"private helpers nothing calls: {dead}"
+
+
 def test_records_store_no_set_their_maps_determine():
     """Each fact is stored once: a record of maps keeps no set field, since
     every set it needs is a domain or codomain of one of its maps.

@@ -16,6 +16,7 @@ from polyfin.errors import (
 from polyfin.finset import Atom, FinSetObj, Pair, mk_finset
 from polyfin.poly import compose2, identity_poly, span_poly
 from polyfin.symbolic import (
+    MAX_ELEMENTS,
     SymPoly,
     decode,
     encode,
@@ -68,6 +69,17 @@ class TestParse:
     def test_exponent_needs_natural(self):
         with pytest.raises(ParseError):
             parse_poly("x^y", in_vars=["x", "y"])
+
+    def test_size_limit_is_inclusive_and_counts_only_kept_terms(self):
+        """|A| + |B| = MAX_ELEMENTS still parses; a term that 0
+        annihilates adds nothing, however large its exponent."""
+        s = parse_poly(f"x^{MAX_ELEMENTS - 1}")
+        assert s.monomials["out1"] == (("x",) * (MAX_ELEMENTS - 1),)
+        s = parse_poly("0x^99999999 + 2y")
+        assert s.in_vars == ("x", "y")
+        assert s.monomials["out1"] == (("y",), ("y",))
+        with pytest.raises(ParseError, match=rf"\|B\| >= {MAX_ELEMENTS + 1}"):
+            parse_poly(f"{MAX_ELEMENTS + 1}")
 
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
