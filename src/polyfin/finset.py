@@ -37,10 +37,11 @@ does get built goes through ordered_finset, so the positions the tables
 were computed against are checked to be the canonical ones.  What builds
 a library-made lazy set is a recipe, a callable object whose fields say
 how the set is made: ApexRecipe lists a pullback apex as pairs of
-positions in its legs' domains, and slices.SectionsRecipe a dependent
-product's carrier by its section numbering.  So a reader such as the
-JSON writer can name an element by its place in those tables without
-building the set, and runs the one canonical-order check,
+positions in its legs' domains, slices.SectionsRecipe a dependent
+product's carrier by its section numbering, and jsonio._NodesRecipe a set
+read from a file by the ids of its nodes in the file's node table.  So a
+reader such as the JSON writer can name an element by its place in those
+tables without building the set, and runs the one canonical-order check,
 _check_canonical, on the positions instead.  Like a closure, the recipe
 is dropped once the set is built, so it keeps nothing alive past that.
 

@@ -19,28 +19,40 @@ the format raises ParseError.
 The writer gives each node an id by hash-consing: a node is keyed by its
 tuple, ("atom", token), ("pair", l, r) or ("sect", ((k, v), ...)), so
 equal elements share one id whichever set reaches them.  A set that is
-not built yet and was made by a recipe (finset.ApexRecipe for a pullback
-apex, slices.SectionsRecipe for a dependent product's carrier) is read by
-position from its recipe, and nothing is built: an apex point is the
-pair of its projections' positions, a section is decoded from its
-number.  The positions are checked instead of the built set, by the
-check a build runs, finset._check_canonical: an apex's projection pairs
-must strictly ascend and a carrier's numbering must not go back to an
-earlier point of the base.  Any other set is walked element by element.
-Both walks emit nodes in the post-order of a left-to-right walk of the
-elements.  to_text renders a payload as json.dumps(indent=2,
-sort_keys=True) does, byte for byte.  The reader builds one set per
-distinct id array, and reads a function's map as its position table when
-the dom and cod arrays are in canonical order.  Each of these tables lives
-for one call only.
+not built yet and was made by a recipe is read by position from its
+recipe, and nothing is built: a pullback apex (finset.ApexRecipe) point
+is the pair of its projections' positions, a dependent product's carrier
+(slices.SectionsRecipe) section is decoded from its number, and a set the
+reader read (_NodesRecipe) names nodes of its file's table, which the
+writer walks by node id.  The positions are checked instead of the built
+set, by the check a build runs, finset._check_canonical: an apex's
+projection pairs must strictly ascend and a carrier's numbering must not
+go back to an earlier point of the base.  Any other set is walked element
+by element.  Every walk emits nodes in the post-order of a left-to-right
+walk of the elements.  to_text renders a payload as json.dumps(indent=2,
+sort_keys=True) does, byte for byte.
+
+The reader orders sets on node keys and builds a set only when it is
+read.  One pass over the node table computes each node's order key, the
+_key its element would carry, without the element.  An id array whose
+keys strictly ascend becomes a lazy set whose _NodesRecipe builds, when
+the set is first read, the elements of the nodes the array reaches and no
+others, and a function between two such sets reads its map as its
+position table.  An array in any other order is built at once and
+sorted, and its functions are read pair by pair.  The reader makes one
+set per distinct id array, and its keys and set table live for one call
+only.  A lazy set keeps the payload's node table, and the elements its
+read has built so far, until it is built itself, so the caller must not
+change that table after the read.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import is_, le, lt
+from operator import le, lt
 from typing import Any, Iterator
 
 from .errors import (
@@ -60,6 +72,7 @@ from .finset import (
     Sect,
     _check_canonical,
     _take,
+    lazy_finset,
     pending_build,
 )
 from .poly import CartesianMorphism, Polynomial, SubdividedComposite
@@ -80,17 +93,14 @@ class _Walk:
     def __init__(self, s: FinSetObj):
         self.s, self.ids, self.kids = s, [None] * len(s), None
 
-    def id_at(self, w: "_Writer", i: int, parts: tuple) -> int:
-        """The node id at position i, once its parts (as parts(w, i)
-        returned them) have ids."""
+    def id_at(self, w: "_Writer", i: int) -> int:
+        """The node id at position i, by a walk of its own."""
         return w.element(self.s.elements[i])
-
-    def parts(self, w: "_Writer", i: int) -> tuple:
-        return ()
 
 
 class _ApexWalk(_Walk):
-    """An unbuilt pullback apex: point i is the pair of its projections."""
+    """An unbuilt pullback apex: point i is the pair of its projections,
+    whose ids _Writer._fill reads off the recipe's tables."""
 
     __slots__ = ("recipe",)
 
@@ -102,21 +112,11 @@ class _ApexWalk(_Walk):
         super().__init__(s)
         self.recipe = recipe
 
-    def parts(self, w: "_Writer", i: int) -> tuple:
-        r = self.recipe
-        if self.kids is None:
-            self.kids = w.walk(r.ldom), w.walk(r.rdom)
-        lw, rw = self.kids
-        return (lw, r.left[i]), (rw, r.right[i])
-
-    def id_at(self, w: "_Writer", i: int, parts: tuple) -> int:
-        (lw, left), (rw, right) = parts
-        return w.node(("pair", lw.ids[left], rw.ids[right]))
-
 
 class _SectionsWalk(_Walk):
     """An unbuilt dependent-product carrier: section i is Pair(b, Sect(...))
-    with b and the section's values decoded, once, from its number."""
+    with b and the section's values decoded, once, from its number, when
+    _Writer._fill reaches it."""
 
     __slots__ = ("recipe",)
 
@@ -127,23 +127,21 @@ class _SectionsWalk(_Walk):
         super().__init__(s)
         self.recipe = recipe
 
-    def parts(self, w: "_Writer", i: int) -> list:
-        """(b's walk, b), then (a's walk, a) and (v's walk, v) for each
-        point a of b's fiber and the section's value v there."""
-        r = self.recipe
-        if self.kids is None:
-            self.kids = w.walk(r.f.cod), w.walk(r.f.dom), w.walk(r.x.dom)
-        bw, aw, vw = self.kids
-        b, values = r.numbering.section(i)
-        parts = [(bw, b)]
-        for a, v in zip(r.numbering.fibers[b], values):
-            parts += (aw, a), (vw, v)
-        return parts
 
-    def id_at(self, w: "_Writer", i: int, parts: list) -> int:
-        ids = [pw.ids[j] for pw, j in parts]
-        sect = w.node(("sect", tuple(zip(ids[1::2], ids[2::2]))))
-        return w.node(("pair", ids[0], sect))
+class _NodesWalk(_Walk):
+    """An unbuilt set the reader read: position i is node recipe.ids[i] of
+    the file's node table.  memo holds the writer id of each node of that
+    table walked so far, shared by every set read from it."""
+
+    __slots__ = ("recipe", "memo")
+
+    def __init__(self, s: FinSetObj, recipe: "_NodesRecipe", memo: list):
+        super().__init__(s)
+        self.recipe, self.memo = recipe, memo
+
+    def id_at(self, w: "_Writer", i: int) -> int:
+        return w.source_node(self.recipe.nodes, self.memo,
+                             self.recipe.ids[i])
 
 
 class _Writer:
@@ -153,18 +151,21 @@ class _Writer:
     each node as a tuple, ("atom", token), ("pair", l, r) or
     ("sect", ((k, v), ...)), to its id, so equal elements get one id
     whichever path reaches them.  ids remembers the id of each element
-    walked by element, and walks the node ids by position of each set
-    reached, keyed by id(set); each walk holds its set, so no id is reused
-    while the write runs, and a part two sets share is walked once.
+    walked by element, walks the node ids by position of each set
+    reached, keyed by id(set), and memos the writer id of each node of
+    each source node table reached, keyed by id(table).  Each walk holds
+    its set, and a node walk its table, so no id is reused while the write
+    runs, and a part two sets share is walked once.
     """
 
-    __slots__ = ("ids", "nodes", "table", "walks")
+    __slots__ = ("ids", "nodes", "table", "walks", "memos")
 
     def __init__(self) -> None:
         self.ids: dict[Element, int] = {}
         self.nodes: list[list] = []
         self.table: dict[tuple, int] = {}
         self.walks: dict[int, _Walk] = {}
+        self.memos: dict[int, list] = {}
 
     def node(self, node: tuple) -> int:
         """The id of node, added to the table if it is new."""
@@ -212,46 +213,140 @@ class _Writer:
                 ids[top] = self.node(node)
         return ids[e]
 
+    def source_node(self, rows: list, memo: list, j: int) -> int:
+        """Node id of node j of a file's node table rows, memo holding the
+        ids of its nodes walked so far: element's walk, on the rows."""
+        i = memo[j]
+        if i is not None:
+            return i
+        stack = [j]
+        while stack:
+            top = stack[-1]
+            row = rows[top]
+            tag = row[0]
+            if tag == "pair":
+                left = memo[row[1]]
+                if left is None:
+                    stack.append(row[1])
+                    continue
+                right = memo[row[2]]
+                if right is None:
+                    stack.append(row[2])
+                    continue
+                node = ("pair", left, right)
+            elif tag == "atom":
+                node = ("atom", row[1])
+            else:
+                unseen = [c for kv in row[1] for c in kv if memo[c] is None]
+                if unseen:
+                    stack.extend(reversed(unseen))
+                    continue
+                node = ("sect", tuple((memo[k], memo[v]) for k, v in row[1]))
+            stack.pop()
+            if memo[top] is None:
+                memo[top] = self.node(node)
+        return memo[j]
+
     def walk(self, s: FinSetObj) -> _Walk:
         """s's walk, made on first use: recipe sets are read by position."""
         w = self.walks.get(id(s))
         if w is None:
             recipe = pending_build(s)
-            w = (_ApexWalk(s, recipe) if type(recipe) is ApexRecipe
-                 else _SectionsWalk(s, recipe)
-                 if type(recipe) is SectionsRecipe else _Walk(s))
+            kind = type(recipe)
+            if kind is ApexRecipe:
+                w = _ApexWalk(s, recipe)
+            elif kind is SectionsRecipe:
+                w = _SectionsWalk(s, recipe)
+            elif kind is _NodesRecipe:
+                memo = self.memos.get(id(recipe.nodes))
+                if memo is None:
+                    memo = self.memos[id(recipe.nodes)] = [None] * len(
+                        recipe.nodes)
+                w = _NodesWalk(s, recipe, memo)
+            else:
+                w = _Walk(s)
             self.walks[id(s)] = w
         return w
 
-    def _fill(self, w: _Walk, i: int) -> None:
-        """Give position i of w's set its node id.
+    def _fill(self, w: _Walk) -> None:
+        """Give each position of w's set, in order, its node id.
 
         Iterative like element, and in the same post-order: a position
         takes its parts left to right, descending into the first one that
-        has no id yet, and gets its own id once every part has one.
+        has no id yet, and gets its own id once every part has one.  An
+        apex point's two parts are read off its recipe's tables, and a
+        section's point over b and its values are decoded once from its
+        number and kept on the stack while they are walked; a position of
+        any other walk gets its id from that walk's own iterative walk.
         """
-        parts = w.parts(self, i)
-        stack = [(w, i, parts, iter(parts))]
-        while stack:
-            w, i, parts, unread = stack[-1]
-            for pw, j in unread:
-                if pw.ids[j] is None:
-                    sub = pw.parts(self, j)
-                    stack.append((pw, j, sub, iter(sub)))
-                    break
-            else:
+        table, nodes, walk = self.table, self.nodes, self.walk
+        for i, known in enumerate(w.ids):
+            if known is not None:
+                continue
+            stack = [(w, i)]
+            while stack:
+                top = stack[-1]
+                v, k = top[0], top[1]
+                kind = type(v)
+                if kind is _ApexWalk:
+                    kids = v.kids
+                    if kids is None:
+                        r = v.recipe
+                        kids = v.kids = (walk(r.ldom), r.left,
+                                         walk(r.rdom), r.right)
+                    lw, left_at, rw, right_at = kids
+                    j = left_at[k]
+                    left = lw.ids[j]
+                    if left is None:
+                        stack.append((lw, j))
+                        continue
+                    j = right_at[k]
+                    right = rw.ids[j]
+                    if right is None:
+                        stack.append((rw, j))
+                        continue
+                    # self.node, inlined: most nodes are apex points.
+                    node = "pair", left, right
+                    got = table.get(node)
+                    if got is None:
+                        got = table[node] = len(nodes)
+                        nodes.append(["pair", left, right])
+                    v.ids[k] = got
+                elif kind is _SectionsWalk:
+                    if len(top) == 2:
+                        r = v.recipe
+                        if v.kids is None:
+                            f = r.f
+                            v.kids = walk(f.cod), walk(f.dom), walk(r.x.dom)
+                        b, values = r.numbering.section(k)
+                        top = stack[-1] = v, k, b, tuple(zip(
+                            r.numbering.fibers[b], values))
+                    bw, aw, xw = v.kids
+                    b, entries = top[2], top[3]
+                    if bw.ids[b] is None:
+                        stack.append((bw, b))
+                        continue
+                    for a, x in entries:
+                        if aw.ids[a] is None:
+                            stack.append((aw, a))
+                            break
+                        if xw.ids[x] is None:
+                            stack.append((xw, x))
+                            break
+                    else:
+                        sect = self.node(("sect", tuple([
+                            (aw.ids[a], xw.ids[x]) for a, x in entries])))
+                        v.ids[k] = self.node(("pair", bw.ids[b], sect))
+                        stack.pop()
+                    continue
+                else:
+                    v.ids[k] = v.id_at(self, k)
                 stack.pop()
-                w.ids[i] = w.id_at(self, i, parts)
 
     def finset(self, s: FinSetObj) -> list[int]:
         w = self.walk(s)
-        ids = w.ids
-        if type(w) is _Walk:
-            ids[:] = map(self.element, s.elements)
-        for i, known in enumerate(ids):
-            if known is None:
-                self._fill(w, i)
-        return list(ids)
+        self._fill(w)
+        return list(w.ids)
 
     def fn(self, f: FinFn) -> dict:
         return {"dom": self.finset(f.dom), "cod": self.finset(f.cod),
@@ -358,12 +453,15 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 def _rows(rows: list[list], nl: str) -> list[str]:
     """The text of each of rows at the indent of nl, where the shapes of a
-    node table, ["pair", l, r], ["atom", token] and a section's [k, v],
-    are filled into one format each."""
+    node table, ["pair", l, r], ["atom", token], a section's [k, v] and
+    ["sect", [[k, v], ...]] with int ids, are filled into one format each."""
     inner = nl + "  "
+    entries = inner + "  "
     pair = "[" + inner + '"pair",' + inner + "%d," + inner + "%d" + nl + "]"
     atom = "[" + inner + '"atom",' + inner + "%s" + nl + "]"
     entry = "[" + inner + "%d," + inner + "%d" + nl + "]"
+    sect = "[" + inner + '"sect",' + inner + "%s" + nl + "]"
+    sect_entry = "[" + entries + "  %d," + entries + "  %d" + entries + "]"
     out = []
     for row in rows:
         if len(row) == 3 and row[0] == "pair" and type(row[1]) is int \
@@ -373,9 +471,21 @@ def _rows(rows: list[list], nl: str) -> list[str]:
             out.append(entry % (row[0], row[1]))
         elif len(row) == 2 and row[0] == "atom" and type(row[1]) is str:
             out.append(atom % _quote(row[1]))
+        elif len(row) == 2 and row[0] == "sect" and type(row[1]) is list \
+                and _int_pairs(row[1]):
+            kvs = row[1]
+            out.append(sect % ("[" + entries + ("," + entries).join(
+                [sect_entry] * len(kvs)) % tuple(chain.from_iterable(kvs))
+                + inner + "]" if kvs else "[]"))
         else:
             out.append(_text(row, nl))
     return out
+
+
+def _int_pairs(kvs: list) -> bool:
+    """Whether kvs is a list of two-entry lists of ints."""
+    return (set(map(type, kvs)) <= {list} and set(map(len, kvs)) <= {2}
+            and set(map(type, chain.from_iterable(kvs))) <= {int})
 
 
 def _fn_fields(data: Any) -> tuple[Any, Any, list]:
@@ -397,50 +507,135 @@ def _node_id(i: Any, n: int) -> int:
     return i
 
 
-class _Reader:
-    """Reads a version-2 payload; elems[i] is the element of node i.
+class _NodesRecipe:
+    """How the reader lists a set it read: point i is the element of node
+    ids[i] of a file's node table, rows.
 
-    sets holds, for each distinct id list read, its set and whether the
-    list is already in canonical order, so a set is built once per read.
+    memo holds the element of each node built so far, shared by every set
+    of one read, so a node two sets name is one element.  A call builds
+    the nodes that ids reach and no others.  Every section row of rows
+    lists its entries in canonical order, so the writer can walk the rows
+    as it walks elements.
     """
 
-    def __init__(self, nodes: Any) -> None:
-        elems: list[Element] = []
-        for node in _array(nodes, "nodes"):
-            n = len(elems)
-            tag = node[0] if isinstance(node, list) and node else None
-            if tag == "atom" and len(node) == 2 and isinstance(node[1], str):
-                elems.append(Atom(node[1]))
-            elif tag == "pair" and len(node) == 3:
-                elems.append(Pair(elems[_node_id(node[1], n)],
-                                  elems[_node_id(node[2], n)]))
-            elif tag == "sect" and len(node) == 2 and isinstance(node[1], list):
-                if not all(isinstance(kv, list) and len(kv) == 2
-                           for kv in node[1]):
-                    raise ParseError("section entries must be id pairs", 0)
-                elems.append(Sect((elems[_node_id(k, n)], elems[_node_id(v, n)])
-                                  for k, v in node[1]))
-            else:
-                raise ParseError(f"unknown node {node!r}", 0)
-        self.elems = elems
+    __slots__ = ("nodes", "ids", "memo")
+
+    def __init__(self, nodes: list, ids: tuple[int, ...], memo: list):
+        self.nodes, self.ids, self.memo = nodes, ids, memo
+
+    def __call__(self) -> list[Element]:
+        rows, memo, ids = self.nodes, self.memo, self.ids
+        # A node's children come before it, so one pass down the table
+        # marks what ids reach and one pass up builds it, children first.
+        top = max(ids)
+        reached = bytearray(top + 1)
+        for j in ids:
+            reached[j] = 1
+        for j in range(top, -1, -1):
+            if reached[j] and memo[j] is None:
+                row = rows[j]
+                if row[0] == "pair":
+                    reached[row[1]] = reached[row[2]] = 1
+                elif row[0] == "sect":
+                    for k, v in row[1]:
+                        reached[k] = reached[v] = 1
+        for j in range(top + 1):
+            if reached[j] and memo[j] is None:
+                row = rows[j]
+                tag = row[0]
+                memo[j] = (Atom(row[1]) if tag == "atom"
+                           else Pair(memo[row[1]], memo[row[2]])
+                           if tag == "pair"
+                           else Sect([(memo[k], memo[v]) for k, v in row[1]]))
+        return list(_take(memo, ids))
+
+
+def _node_ids(ids: list, n: int) -> list:
+    """ids, each checked to be a node id below n."""
+    if ids and not (set(map(type, ids)) == {int}
+                    and 0 <= min(ids) and max(ids) < n):
+        for i in ids:
+            _node_id(i, n)
+    return ids
+
+
+class _Reader:
+    """Reads a version-2 payload, building elements only for an id array
+    out of canonical order.
+
+    keys[i] is the order key of node i, the _key its element would carry.
+    sets holds, for each distinct id array read, its set and whether the
+    array is in canonical order.  A canonical array becomes a lazy set
+    whose _NodesRecipe builds it when it is read; any other is built at
+    once, element by element, and sorted.  nodes is the payload's table,
+    or a copy of it with its section rows in canonical order.
+    """
+
+    def __init__(self, rows: Any) -> None:
+        self.nodes = rows = _array(rows, "nodes")
+        self.keys = keys = []
+        for n, node in enumerate(rows):
+            if type(node) is list and len(node) == 3 and node[0] == "pair":
+                left, right = node[1], node[2]
+                if (type(left) is int and type(right) is int
+                        and 0 <= left < n and 0 <= right < n):
+                    keys.append((1, keys[left], keys[right]))
+                    continue
+            keys.append(self._key(rows, n, node))
+        self.memo: list[Element | None] = [None] * len(rows)
         self.sets: dict[tuple[int, ...], tuple[FinSetObj, bool]] = {}
+
+    def _key(self, rows: list, n: int, node: Any) -> tuple:
+        """Row n's order key, after the checks the element constructors
+        run, in their order.  A section row that lists its entries out of
+        canonical order is listed in order in a copy of the table."""
+        keys = self.keys
+        tag = node[0] if isinstance(node, list) and node else None
+        if tag == "atom" and len(node) == 2 and isinstance(node[1], str):
+            return 0, node[1]
+        if tag == "pair" and len(node) == 3:
+            return 1, keys[_node_id(node[1], n)], keys[_node_id(node[2], n)]
+        if tag == "sect" and len(node) == 2 and isinstance(node[1], list):
+            kvs = node[1]
+            if not (set(map(type, kvs)) <= {list}
+                    and set(map(len, kvs)) <= {2}
+                    or all(isinstance(kv, list) and len(kv) == 2
+                           for kv in kvs)):
+                raise ParseError("section entries must be id pairs", 0)
+            flat = _node_ids([c for kv in kvs for c in kv], n)
+            at, to = flat[::2], flat[1::2]
+            ks = _take(keys, at)
+            if all(map(lt, ks, ks[1:])):
+                return 2, tuple(zip(ks, _take(keys, to)))
+            entries = sorted(zip(at, to), key=lambda kv: keys[kv[0]])
+            for (a, _), (b, _) in zip(entries, entries[1:]):
+                if keys[a] == keys[b]:
+                    key = _NodesRecipe(rows, (a,), [None] * n)()[0]
+                    raise DuplicateElement(
+                        f"section table repeats key {key!r}")
+            if self.nodes is rows:
+                self.nodes = list(rows)
+            self.nodes[n] = ["sect", list(map(list, entries))]
+            return 2, tuple((keys[k], keys[v]) for k, v in entries)
+        raise ParseError(f"unknown node {node!r}", 0)
 
     def _ids(self, data: Any) -> tuple[int, ...]:
         """The node ids of a set's array, each checked to be in range."""
-        ids = _array(data)
-        n = len(self.elems)
-        if ids and not (set(map(type, ids)) == {int}
-                        and 0 <= min(ids) and max(ids) < n):
-            for i in ids:
-                _node_id(i, n)
-        return tuple(ids)
+        return tuple(_node_ids(_array(data), len(self.keys)))
+
+    def _elements(self, ids: tuple[int, ...]) -> list[Element]:
+        return _NodesRecipe(self.nodes, ids, self.memo)()
 
     def _set(self, ids: tuple[int, ...]) -> tuple[FinSetObj, bool]:
         got = self.sets.get(ids)
         if got is None:
-            elems = _take(self.elems, ids)
-            s = FinSetObj(elems)
-            got = self.sets[ids] = s, all(map(is_, s.elements, elems))
+            keys = _take(self.keys, ids)
+            if all(map(lt, keys, keys[1:])):
+                recipe = _NodesRecipe(self.nodes, ids, self.memo)
+                got = lazy_finset(len(ids), recipe), True
+            else:
+                got = FinSetObj(self._elements(ids)), False
+            self.sets[ids] = got
         return got
 
     def finset(self, data: Any) -> FinSetObj:
@@ -458,9 +653,8 @@ class _Reader:
         (d, d_canonical), (c, c_canonical) = self._set(dom), self._set(cod)
         if d_canonical and c_canonical:
             return FinFn(d, c, idx=positions)
-        elems = self.elems
-        return FinFn(d, c, zip(_take(elems, dom),
-                               _take(elems, _take(cod, positions))))
+        return FinFn(d, c, zip(self._elements(dom),
+                               _take(self._elements(cod), positions)))
 
 
 def _reader(data: Any) -> _Reader:

@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
 )
 from .extension import EvalTrace, eval_obj
-from .finset import Atom, FinFn, FinSetObj, Pair, mk_finset
+from .finset import Atom, FinFn, FinSetObj, Pair, _take, mk_finset
 from .poly import Polynomial
 from .slices import SliceObj
 
@@ -127,6 +127,15 @@ def parse_poly(text: str, in_vars: list[str] | None = None,
     size = [0, 0]  # |A| and |B| of the terms read so far
     i = 0
 
+    def natural() -> int:
+        """The number at token i; int() refuses more than a few thousand
+        digits, and so does this, as a parse error."""
+        try:
+            return int(tokens[i][1])
+        except ValueError:
+            raise ParseError(f"a number of {len(tokens[i][1])} digits is "
+                             "too long", tokens[i][2]) from None
+
     def parse_term() -> list[Monomial]:
         nonlocal i
         start = tokens[i][2] if i < len(tokens) else len(text)
@@ -134,7 +143,7 @@ def parse_poly(text: str, in_vars: list[str] | None = None,
         has_body = False
         factors: list[tuple[str, int]] = []
         if i < len(tokens) and tokens[i][0] == "nat":
-            coeff = int(tokens[i][1])
+            coeff = natural()
             i += 1
             has_body = True
             if i < len(tokens) and tokens[i][:2] == ("op", "*"):
@@ -151,7 +160,7 @@ def parse_poly(text: str, in_vars: list[str] | None = None,
                 if i >= len(tokens) or tokens[i][0] != "nat":
                     raise ParseError("'^' needs a natural exponent",
                                      tokens[i - 1][2])
-                power = int(tokens[i][1])
+                power = natural()
                 i += 1
             if value not in seen_vars:
                 seen_vars.append(value)
@@ -236,17 +245,22 @@ def decode(p: Polynomial) -> SymPoly:
     """Read a polynomial expression back off a diagram by counting fibers.
 
     Source and target elements must be atoms, since they name the
-    variables; middle elements may be anything.
+    variables; middle elements may be anything, and none is read: b's
+    monomial is the variables p1 gives the positions in p2's fiber over
+    b, and its output the one p3 gives b, all read by position.  So a
+    composite read from a file builds its src and tgt only.
     """
-    for e in list(p.src) + list(p.tgt):
+    src, tgt = p.src.elements, p.tgt.elements
+    for e in src + tgt:
         if not isinstance(e, Atom):
             raise NotNameable(f"boundary element {e!r} is not an atom")
-    in_vars = tuple(e.token for e in p.src)
-    out_vars = tuple(e.token for e in p.tgt)
+    in_vars = tuple(e.token for e in src)
+    out_vars = tuple(e.token for e in tgt)
+    var_at = _take(in_vars, p.p1.idx)
     monomials: dict[str, list[Monomial]] = {o: [] for o in out_vars}
-    for b in p.mid_tgt:
-        mono = tuple(sorted(p.p1(a).token for a in p.p2.fiber(b)))
-        monomials[p.p3(b).token].append(mono)
+    for out, fiber in zip(_take(out_vars, p.p3.idx),
+                          p.p2.fiber_positions()):
+        monomials[out].append(_take(var_at, fiber))
     return SymPoly(in_vars, out_vars,
                    {o: tuple(ms) for o, ms in monomials.items()})
 

@@ -1,5 +1,6 @@
 """JSON payloads: a node table per payload, and values that read back equal."""
 
+import gc
 import json
 
 import pytest
@@ -23,7 +24,13 @@ from polyfin.finset import (
     pending_build,
 )
 from polyfin.poly import compose_seq
-from polyfin.symbolic import encode, fiber_slice, parse_poly
+from polyfin.symbolic import (
+    decode,
+    encode,
+    fiber_slice,
+    parse_poly,
+    substitute,
+)
 
 from support import recorded_builds
 
@@ -260,6 +267,53 @@ def test_four_link_chain_is_written_without_building_a_set():
     assert jsonio.poly_to_json(composite) == read
 
 
+def test_four_link_file_is_read_decoded_and_rewritten_building_no_pair(
+        monkeypatch, tmp_path):
+    paths = []
+    for text, var, out in (("x^2 + x", "x", "y"), ("y^2 + 1", "y", "x")):
+        paths.append(str(tmp_path / f"{var}.json"))
+        assert main(["encode", text, "--in", var, "--out", out,
+                     "-o", paths[-1]]) == 0
+    chain = tmp_path / "chain.json"
+    assert main(["compose", *paths * 2, "-o", str(chain)]) == 0
+    raw = chain.read_text(encoding="utf-8")
+    data = json.loads(raw)
+    made = []
+    real = Pair.__init__
+
+    def counting(self, left, right):
+        made.append(self)
+        real(self, left, right)
+
+    monkeypatch.setattr(Pair, "__init__", counting)
+    decoded = decode(jsonio.poly_from_json(data))
+    assert made == []
+    rewritten = jsonio.to_text(jsonio.poly_to_json(jsonio.poly_from_json(data)))
+    assert made == []
+    assert rewritten + "\n" == raw
+    links = [parse_poly(t, [v], [w]) for t, v, w in (
+        ("x^2 + x", "x", "y"), ("y^2 + 1", "y", "x"))] * 2
+    want = links[0]
+    for link in links[1:]:
+        want = substitute(link, want)
+    assert decoded == want
+
+
+def test_read_decode_and_write_leave_no_reference_cycle():
+    data = _through_text(jsonio.poly_to_json(_composite()))
+    gc.collect()
+    gc.disable()
+    try:
+        p = jsonio.poly_from_json(data)
+        decode(p)
+        jsonio.poly_to_json(p)
+        del p
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0
+
+
 def _reversed_apex_pullback(real, by_recipe):
     """A replacement pullback whose apex lists the chosen one's points in
     reverse; its projections follow, so the square is still a pullback."""
@@ -303,6 +357,9 @@ _leaves = (st.none() | st.booleans() | st.text()
 _node_rows = (st.tuples(st.just("pair"), st.integers(0, 99),
                         st.integers(0, 99))
               | st.tuples(st.just("atom"), st.text())
+              | st.tuples(st.just("sect"), st.lists(
+                  st.tuples(st.integers(), st.integers()
+                            | st.booleans()).map(list), max_size=3))
               | st.tuples(st.integers(), st.integers())).map(list)
 json_values = st.recursive(
     _leaves | _node_rows,
@@ -342,17 +399,39 @@ def test_reader_builds_one_set_per_distinct_id_list(monkeypatch):
     data = _through_text(jsonio.poly_to_json(_composite()))
     made = []
 
-    def counting(elems):
-        made.append(tuple(elems))
-        return FinSetObj(elems)
+    def counting(make):
+        def count(*args):
+            made.append(make(*args))
+            return made[-1]
+        return count
 
-    monkeypatch.setattr(jsonio, "FinSetObj", counting)
-    p = jsonio.poly_from_json(data)
+    monkeypatch.setattr(jsonio, "lazy_finset", counting(jsonio.lazy_finset))
+    monkeypatch.setattr(jsonio, "FinSetObj", counting(jsonio.FinSetObj))
+    with recorded_builds() as built:
+        p = jsonio.poly_from_json(data)
     lists = [data[name] for name in ("src", "A", "B", "tgt")] + [
         data[leg][end] for leg in ("p1", "p2", "p3") for end in ("dom", "cod")]
     assert len(made) == len({tuple(ids) for ids in lists}) == 4
+    assert built == []
     assert p.p1.dom is p.p2.dom is p.mid_src
     assert p.p2.cod is p.p3.dom is p.mid_tgt
+
+
+def test_section_rows_out_of_canonical_order_read_back_equal():
+    built = _composite()
+    written = _through_text(jsonio.poly_to_json(built))
+    data = _through_text(written)
+    reordered = 0
+    for node in data["nodes"]:
+        if node[0] == "sect" and len(node[1]) > 1:
+            node[1].reverse()
+            reordered += 1
+    assert reordered > 0
+    back = jsonio.poly_from_json(data)
+    # The writer walks the read sets by node id, on the rows in canonical
+    # order, so the re-write is the original file.
+    assert jsonio.poly_to_json(back) == written
+    assert back == built
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -414,6 +493,8 @@ PARSE_ERRORS = [
      "unknown node ['leaf', 1]"),
     (_edited(lambda d: d["nodes"].append(["sect", [[0]]])),
      "section entries must be id pairs"),
+    (_edited(lambda d: d["nodes"].append(["sect", [[0, 1], [0, 2]]])),
+     "section table repeats key Atom('x')"),
     (_edited(lambda d: d["nodes"].append(["pair", 0, 99])),
      "node id 99 is out of range (needs 0 <= id < 7)"),
     (_edited(lambda d: d.update(A=3)), "a set must be an array"),
