@@ -527,7 +527,7 @@ class _NodesRecipe:
         rows, memo, ids = self.nodes, self.memo, self.ids
         # A node's children come before it, so one pass down the table
         # marks what ids reach and one pass up builds it, children first.
-        top = max(ids)
+        top = max(ids, default=-1)
         reached = bytearray(top + 1)
         for j in ids:
             reached[j] = 1

@@ -23,7 +23,7 @@ from polyfin.finset import (
     lazy_finset,
     pending_build,
 )
-from polyfin.poly import compose_seq
+from polyfin.poly import Polynomial, compose_seq
 from polyfin.symbolic import (
     decode,
     encode,
@@ -447,6 +447,25 @@ def test_shuffled_dom_and_cod_read_back_equal(rnd):
         f["dom"] = [f["dom"][i] for i in dom_order]
         f["map"] = [new_pos[f["map"][i]] for i in dom_order]
         f["cod"] = [f["cod"][i] for i in cod_order]
+    assert jsonio.poly_from_json(data) == built
+
+
+def test_empty_set_beside_one_out_of_canonical_order_reads_back_equal():
+    f = jsonio.fn_from_json({"version": 2,
+                             "nodes": [["atom", "x"], ["atom", "y"]],
+                             "dom": [], "cod": [1, 0], "map": []})
+    xy = FinSetObj([Atom("x"), Atom("y")])
+    empty = FinSetObj(())
+    assert f == FinFn(empty, xy, ())
+    # A polynomial with an empty A and B, whose src and tgt are listed out
+    # of canonical order.
+    built = Polynomial(FinFn(empty, xy, ()), identity_fn(empty),
+                       FinFn(empty, xy, ()))
+    data = _through_text(jsonio.poly_to_json(built))
+    for name, leg in (("src", "p1"), ("tgt", "p3")):
+        data[name].reverse()
+        data[leg]["cod"].reverse()
+    assert data["src"] != sorted(data["src"])
     assert jsonio.poly_from_json(data) == built
 
 
