@@ -211,32 +211,31 @@ def rand_sdc(rng: Draws, seq: list[Polynomial],
     The last object and its map into the final stage are free; every
     earlier stage is forced to be a pullback, then q1 is whatever the
     axioms dictate.  If a stage admits no lift the attempt is retried, up
-    to ten times, then the empty carrier is used, which always works.
+    to ten times, then the empty carrier is used, which always works:
+    every apex over it is empty, so no fiber lookup can fail.
     """
-    n = len(seq)
-    if n == 0:
+    if not seq:
         raise NotComposable("need a nonempty sequence")
-    for attempt in range(11):
-        size = 0 if attempt == 10 else rng.randint(0, max_size)
-        y_last = fresh_set(rng, size, "ry")
-        if len(seq[-1].mid_tgt) == 0 and size > 0:
-            continue
-        s_cur = FinFn(y_last, seq[-1].mid_tgt,
-                      [(e, rng.choice(seq[-1].mid_tgt.elements))
-                       for e in y_last])
-        built = _build_sdc(rng, seq, y_last, s_cur)
+    for _ in range(10):
+        built = _build_sdc(rng, seq, rng.randint(0, max_size))
         if built is not None:
             return built
-    raise NotComposable("could not build a subdivided composite")
+    return _build_sdc(rng, seq, 0)
 
 
-def _build_sdc(rng: Draws, seq: list[Polynomial], y_last: FinSetObj,
-               s_cur: FinFn) -> SubdividedComposite | None:
+def _build_sdc(rng: Draws, seq: list[Polynomial],
+               size: int) -> SubdividedComposite | None:
+    """One attempt of rand_sdc, with a last object of size points; None if
+    the final stage is empty and size is not, or a stage has no lift."""
+    y_last = fresh_set(rng, size, "ry")
+    if len(seq[-1].mid_tgt) == 0 and size > 0:
+        return None
     q2s: list[FinFn] = []
     rs: list[FinFn] = []
-    ss: list[FinFn] = [s_cur]
-    n = len(seq)
-    for i in range(n - 1, -1, -1):
+    ss: list[FinFn] = [FinFn(y_last, seq[-1].mid_tgt,
+                             [(e, rng.choice(seq[-1].mid_tgt.elements))
+                              for e in y_last])]
+    for i in range(len(seq) - 1, -1, -1):
         p = seq[i]
         sq = pullback(ss[0], p.p2)
         q2s.insert(0, sq.proj1)

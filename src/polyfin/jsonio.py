@@ -18,32 +18,32 @@ the format raises ParseError.
 
 The writer gives each node an id by hash-consing: a node is keyed by its
 tuple, ("atom", token), ("pair", l, r) or ("sect", ((k, v), ...)), so
-equal elements share one id whichever set reaches them.  A set that is
-not built yet and was made by a recipe is read by position from its
-recipe, and nothing is built: a pullback apex (finset.ApexRecipe) point
-is the pair of its projections' positions, a dependent product's carrier
-(slices.SectionsRecipe) section is decoded from its number, and a set the
-reader read (_NodesRecipe) names nodes of its file's table, which the
-writer walks by node id.  The positions are checked instead of the built
-set, by the check a build runs, finset._check_canonical: an apex's
-projection pairs must strictly ascend and a carrier's numbering must not
-go back to an earlier point of the base.  Any other set is walked element
-by element.  Every walk emits nodes in the post-order of a left-to-right
-walk of the elements.  to_text renders a payload as json.dumps(indent=2,
+equal elements share one id whichever set reaches them.  Each set it
+reaches has one walk record, which fills in the node id of each position.
+A set that is not built yet and was made by a recipe is read by position
+from its recipe, and nothing is built: a pullback apex (finset.ApexRecipe)
+point is the pair of its projections' positions, a dependent product's
+carrier (slices.SectionsRecipe) section is decoded from its number, and a
+set the reader read (_NodesRecipe) names nodes of its file's table, which
+the writer walks by node id.  An apex's and a carrier's positions are
+checked instead of the built set, by the check a build runs,
+finset._check_canonical.  Any other set is walked element by element.
+Every walk emits nodes in the post-order of a left-to-right walk of the
+elements.  to_text renders a payload as json.dumps(indent=2,
 sort_keys=True) does, byte for byte.
 
-The reader orders sets on node keys and builds a set only when it is
-read.  One pass over the node table computes each node's order key, the
-_key its element would carry, without the element.  An id array whose
-keys strictly ascend becomes a lazy set whose _NodesRecipe builds, when
-the set is first read, the elements of the nodes the array reaches and no
-others, and a function between two such sets reads its map as its
-position table.  An array in any other order is built at once and
-sorted, and its functions are read pair by pair.  The reader makes one
-set per distinct id array, and its keys and set table live for one call
-only.  A lazy set keeps the payload's node table, and the elements its
-read has built so far, until it is built itself, so the caller must not
-change that table after the read.
+The reader reads every set one way and builds no element.  One pass over
+the node table computes each node's order key, the _key its element would
+carry.  An id array out of canonical order is sorted on these keys, and
+one that names an element twice is refused.  The sorted array becomes a
+lazy set whose _NodesRecipe builds, when the set is first read, the
+elements of the nodes the array reaches and no others.  Arrays that list
+one set, in any order, share it, and a function reads its map as a
+position table, permuted through the sorts of its dom and cod.  The
+reader's keys and set table live for one call only.  A lazy set keeps the
+payload's node table, and the elements its read has built so far, until
+it is built itself, so the caller must not change that table after the
+read.
 """
 
 from __future__ import annotations
@@ -82,66 +82,23 @@ from .slices import DistPB, SectionsRecipe
 class _Walk:
     """The node ids of a set's positions, filled in as a write reaches them.
 
-    The base class stands for a set walked by element: one that is built,
-    was made eagerly, or has a build the writer cannot read.  The walks of
-    the sets a recipe reads are looked up on the first read, not before,
-    so a deep tower of recipes costs no recursion.
+    recipe is what the writer reads the set's positions from, and kind its
+    type: finset.ApexRecipe, slices.SectionsRecipe or _NodesRecipe.  Both
+    are None for a set walked by element: one that is built, was made
+    eagerly, or has a build the writer cannot read.  kids holds what _fill
+    reads a position through: the walks of an apex's projection domains
+    and their tables, or of a carrier's base, domain and fibers, looked up
+    on the first read, not before, so a deep tower of recipes costs no
+    recursion; or, for a set the reader read, the writer id of each node
+    of its file's table walked so far, shared by every set read from it.
     """
 
-    __slots__ = ("s", "ids", "kids")
+    __slots__ = ("s", "ids", "kind", "recipe", "kids")
 
-    def __init__(self, s: FinSetObj):
-        self.s, self.ids, self.kids = s, [None] * len(s), None
-
-    def id_at(self, w: "_Writer", i: int) -> int:
-        """The node id at position i, by a walk of its own."""
-        return w.element(self.s.elements[i])
-
-
-class _ApexWalk(_Walk):
-    """An unbuilt pullback apex: point i is the pair of its projections,
-    whose ids _Writer._fill reads off the recipe's tables."""
-
-    __slots__ = ("recipe",)
-
-    def __init__(self, s: FinSetObj, recipe: ApexRecipe):
-        left, right = recipe.left, recipe.right
-        pairs = list(zip(left, right))
-        _check_canonical(len(left) == len(right) == len(s),
-                         all(map(lt, pairs, pairs[1:])))
-        super().__init__(s)
-        self.recipe = recipe
-
-
-class _SectionsWalk(_Walk):
-    """An unbuilt dependent-product carrier: section i is Pair(b, Sect(...))
-    with b and the section's values decoded, once, from its number, when
-    _Writer._fill reaches it."""
-
-    __slots__ = ("recipe",)
-
-    def __init__(self, s: FinSetObj, recipe: SectionsRecipe):
-        offset = recipe.numbering.offset
-        _check_canonical(offset[-1] == len(s),
-                         all(map(le, offset, offset[1:])))
-        super().__init__(s)
-        self.recipe = recipe
-
-
-class _NodesWalk(_Walk):
-    """An unbuilt set the reader read: position i is node recipe.ids[i] of
-    the file's node table.  memo holds the writer id of each node of that
-    table walked so far, shared by every set read from it."""
-
-    __slots__ = ("recipe", "memo")
-
-    def __init__(self, s: FinSetObj, recipe: "_NodesRecipe", memo: list):
-        super().__init__(s)
-        self.recipe, self.memo = recipe, memo
-
-    def id_at(self, w: "_Writer", i: int) -> int:
-        return w.source_node(self.recipe.nodes, self.memo,
-                             self.recipe.ids[i])
+    def __init__(self, s: FinSetObj, kind: type | None, recipe: Any,
+                 kids: Any) -> None:
+        self.s, self.ids = s, [None] * len(s)
+        self.kind, self.recipe, self.kids = kind, recipe, kids
 
 
 class _Writer:
@@ -154,8 +111,8 @@ class _Writer:
     walked by element, walks the node ids by position of each set
     reached, keyed by id(set), and memos the writer id of each node of
     each source node table reached, keyed by id(table).  Each walk holds
-    its set, and a node walk its table, so no id is reused while the write
-    runs, and a part two sets share is walked once.
+    its set and its recipe, which holds a read set's table, so no id is
+    reused while the write runs, and a part two sets share is walked once.
     """
 
     __slots__ = ("ids", "nodes", "table", "walks", "memos")
@@ -248,24 +205,34 @@ class _Writer:
         return memo[j]
 
     def walk(self, s: FinSetObj) -> _Walk:
-        """s's walk, made on first use: recipe sets are read by position."""
+        """s's walk, made on first use: recipe sets are read by position.
+
+        An apex's or a carrier's positions are checked here instead of the
+        built set, by the check a build runs: an apex's projection pairs
+        must strictly ascend, and a carrier's numbering must not go back to
+        an earlier point of the base.
+        """
         w = self.walks.get(id(s))
         if w is None:
             recipe = pending_build(s)
-            kind = type(recipe)
+            kind, kids = type(recipe), None
             if kind is ApexRecipe:
-                w = _ApexWalk(s, recipe)
+                left, right = recipe.left, recipe.right
+                pairs = list(zip(left, right))
+                _check_canonical(len(left) == len(right) == len(s),
+                                 all(map(lt, pairs, pairs[1:])))
             elif kind is SectionsRecipe:
-                w = _SectionsWalk(s, recipe)
+                offset = recipe.numbering.offset
+                _check_canonical(offset[-1] == len(s),
+                                 all(map(le, offset, offset[1:])))
             elif kind is _NodesRecipe:
-                memo = self.memos.get(id(recipe.nodes))
-                if memo is None:
-                    memo = self.memos[id(recipe.nodes)] = [None] * len(
+                kids = self.memos.get(id(recipe.nodes))
+                if kids is None:
+                    kids = self.memos[id(recipe.nodes)] = [None] * len(
                         recipe.nodes)
-                w = _NodesWalk(s, recipe, memo)
             else:
-                w = _Walk(s)
-            self.walks[id(s)] = w
+                kind = recipe = None
+            w = self.walks[id(s)] = _Walk(s, kind, recipe, kids)
         return w
 
     def _fill(self, w: _Walk) -> None:
@@ -276,8 +243,9 @@ class _Writer:
         has no id yet, and gets its own id once every part has one.  An
         apex point's two parts are read off its recipe's tables, and a
         section's point over b and its values are decoded once from its
-        number and kept on the stack while they are walked; a position of
-        any other walk gets its id from that walk's own iterative walk.
+        number and kept on the stack while they are walked.  A position of
+        a set the reader read gets its id from source_node's walk of its
+        file's rows, and any other position from element's walk.
         """
         table, nodes, walk = self.table, self.nodes, self.walk
         for i, known in enumerate(w.ids):
@@ -287,8 +255,8 @@ class _Writer:
             while stack:
                 top = stack[-1]
                 v, k = top[0], top[1]
-                kind = type(v)
-                if kind is _ApexWalk:
+                kind = v.kind
+                if kind is ApexRecipe:
                     kids = v.kids
                     if kids is None:
                         r = v.recipe
@@ -312,7 +280,7 @@ class _Writer:
                         got = table[node] = len(nodes)
                         nodes.append(["pair", left, right])
                     v.ids[k] = got
-                elif kind is _SectionsWalk:
+                elif kind is SectionsRecipe:
                     if len(top) == 2:
                         r = v.recipe
                         if v.kids is None:
@@ -339,8 +307,11 @@ class _Writer:
                         v.ids[k] = self.node(("pair", bw.ids[b], sect))
                         stack.pop()
                     continue
+                elif kind is _NodesRecipe:
+                    v.ids[k] = self.source_node(v.recipe.nodes, v.kids,
+                                                v.recipe.ids[k])
                 else:
-                    v.ids[k] = v.id_at(self, k)
+                    v.ids[k] = self.element(v.s.elements[k])
                 stack.pop()
 
     def finset(self, s: FinSetObj) -> list[int]:
@@ -560,15 +531,15 @@ def _node_ids(ids: list, n: int) -> list:
 
 
 class _Reader:
-    """Reads a version-2 payload, building elements only for an id array
-    out of canonical order.
+    """Reads a version-2 payload, building no element.
 
     keys[i] is the order key of node i, the _key its element would carry.
-    sets holds, for each distinct id array read, its set and whether the
-    array is in canonical order.  A canonical array becomes a lazy set
-    whose _NodesRecipe builds it when it is read; any other is built at
-    once, element by element, and sorted.  nodes is the payload's table,
-    or a copy of it with its section rows in canonical order.
+    An id array becomes the lazy set whose _NodesRecipe builds the array's
+    ids, sorted on these keys, when the set is read.  sets holds, for each
+    distinct id array read, its set and the array's positions in the
+    set's order, or None if the array is in that order; arrays that list
+    one set share it.  nodes is the payload's table, or a copy of it with
+    its section rows in canonical order.
     """
 
     def __init__(self, rows: Any) -> None:
@@ -583,7 +554,7 @@ class _Reader:
                     continue
             keys.append(self._key(rows, n, node))
         self.memo: list[Element | None] = [None] * len(rows)
-        self.sets: dict[tuple[int, ...], tuple[FinSetObj, bool]] = {}
+        self.sets: dict[tuple[int, ...], tuple[FinSetObj, list | None]] = {}
 
     def _key(self, rows: list, n: int, node: Any) -> tuple:
         """Row n's order key, after the checks the element constructors
@@ -607,34 +578,41 @@ class _Reader:
             ks = _take(keys, at)
             if all(map(lt, ks, ks[1:])):
                 return 2, tuple(zip(ks, _take(keys, to)))
-            entries = sorted(zip(at, to), key=lambda kv: keys[kv[0]])
-            for (a, _), (b, _) in zip(entries, entries[1:]):
-                if keys[a] == keys[b]:
-                    key = _NodesRecipe(rows, (a,), [None] * n)()[0]
-                    raise DuplicateElement(
-                        f"section table repeats key {key!r}")
+            order = self._sort(at, ks, "section table repeats key")
+            entries = [[at[i], to[i]] for i in order]
             if self.nodes is rows:
                 self.nodes = list(rows)
-            self.nodes[n] = ["sect", list(map(list, entries))]
+            self.nodes[n] = ["sect", entries]
             return 2, tuple((keys[k], keys[v]) for k, v in entries)
         raise ParseError(f"unknown node {node!r}", 0)
+
+    def _sort(self, ids: list | tuple, keys: tuple,
+              repeats: str) -> list[int]:
+        """The positions of ids in the ascending order of keys, their
+        nodes' order keys.  Two equal keys name one element twice, which is
+        refused by the text repeats and that element."""
+        order = sorted(range(len(ids)), key=keys.__getitem__)
+        for i, j in zip(order, order[1:]):
+            if keys[i] == keys[j]:
+                e = _NodesRecipe(self.nodes, (ids[i],),
+                                 [None] * len(self.nodes))()[0]
+                raise DuplicateElement(f"{repeats} {e!r}")
+        return order
 
     def _ids(self, data: Any) -> tuple[int, ...]:
         """The node ids of a set's array, each checked to be in range."""
         return tuple(_node_ids(_array(data), len(self.keys)))
 
-    def _elements(self, ids: tuple[int, ...]) -> list[Element]:
-        return _NodesRecipe(self.nodes, ids, self.memo)()
-
-    def _set(self, ids: tuple[int, ...]) -> tuple[FinSetObj, bool]:
+    def _set(self, ids: tuple[int, ...]) -> tuple[FinSetObj, list | None]:
         got = self.sets.get(ids)
         if got is None:
             keys = _take(self.keys, ids)
             if all(map(lt, keys, keys[1:])):
-                recipe = _NodesRecipe(self.nodes, ids, self.memo)
-                got = lazy_finset(len(ids), recipe), True
+                got = lazy_finset(len(ids), _NodesRecipe(self.nodes, ids,
+                                                         self.memo)), None
             else:
-                got = FinSetObj(self._elements(ids)), False
+                order = self._sort(ids, keys, "duplicate element")
+                got = self._set(_take(ids, order))[0], order
             self.sets[ids] = got
         return got
 
@@ -650,11 +628,12 @@ class _Reader:
                               and 0 <= min(positions)
                               and max(positions) < len(cod)):
             raise ParseError("map entries must be positions in cod", 0)
-        (d, d_canonical), (c, c_canonical) = self._set(dom), self._set(cod)
-        if d_canonical and c_canonical:
-            return FinFn(d, c, idx=positions)
-        return FinFn(d, c, zip(self._elements(dom),
-                               _take(self._elements(cod), positions)))
+        (d, d_order), (c, c_order) = self._set(dom), self._set(cod)
+        if c_order is not None:
+            positions = _take(dict(zip(c_order, range(len(cod)))), positions)
+        if d_order is not None:
+            positions = _take(positions, d_order)
+        return FinFn(d, c, idx=positions)
 
 
 def _reader(data: Any) -> _Reader:

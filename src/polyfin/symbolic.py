@@ -88,7 +88,7 @@ class SymPoly:
         return " ; ".join(parts)
 
 
-# encode of a text at this many elements, |A| + |B|, takes about two seconds.
+# encode of a text at this many elements, |A| + |B|, takes about one second.
 MAX_ELEMENTS = 100_000
 
 _TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<var>[A-Za-z_]\w*)"
@@ -214,31 +214,30 @@ def encode(s: SymPoly) -> Polynomial:
 
     MSum has one atom per monomial occurrence ("m0", "m1", ...) and UVar
     one atom per variable usage ("m0.u0", ...); the positional tokens make
-    the encoding deterministic.
+    the encoding deterministic.  Each atom is built once, by mk_finset, and
+    the legs are position tables in the built sets' canonical order, where
+    "m10" comes before "m2".
     """
-    src = mk_finset(list(s.in_vars))
-    tgt = mk_finset(list(s.out_vars))
-    msum_tokens: list[str] = []
-    p3_pairs = []
-    p1_pairs = []
-    p2_pairs = []
-    uvar_tokens: list[str] = []
-    idx = 0
-    for out in s.out_vars:
-        for mono in s.monomials[out]:
-            mtok = f"m{idx}"
-            idx += 1
-            msum_tokens.append(mtok)
-            p3_pairs.append((Atom(mtok), Atom(out)))
-            for u, var in enumerate(mono):
-                utok = f"{mtok}.u{u}"
-                uvar_tokens.append(utok)
-                p1_pairs.append((Atom(utok), Atom(var)))
-                p2_pairs.append((Atom(utok), Atom(mtok)))
-    msum = mk_finset(msum_tokens)
-    uvar = mk_finset(uvar_tokens)
-    return Polynomial(FinFn(uvar, src, p1_pairs), FinFn(uvar, msum, p2_pairs),
-                      FinFn(msum, tgt, p3_pairs))
+    monos = [(f"m{i}", out, mono) for i, (out, mono) in enumerate(
+        (out, mono) for out in s.out_vars for mono in s.monomials[out])]
+    uses = [(f"{m}.u{u}", m, var)
+            for m, _, mono in monos for u, var in enumerate(mono)]
+    src, tgt = mk_finset(list(s.in_vars)), mk_finset(list(s.out_vars))
+    msum = mk_finset([m for m, _, _ in monos])
+    uvar = mk_finset([u for u, _, _ in uses])
+    var_at, out_at, m_at, u_at = map(_positions, (src, tgt, msum, uvar))
+    p1, p2, p3 = [0] * len(uvar), [0] * len(uvar), [0] * len(msum)
+    for u, m, var in uses:
+        p1[u_at[u]], p2[u_at[u]] = var_at[var], m_at[m]
+    for m, out, _ in monos:
+        p3[m_at[m]] = out_at[out]
+    return Polynomial(FinFn(uvar, src, idx=p1), FinFn(uvar, msum, idx=p2),
+                      FinFn(msum, tgt, idx=p3))
+
+
+def _positions(atoms: FinSetObj) -> dict[str, int]:
+    """The position of each atom of a set, by its token."""
+    return {e.token: i for i, e in enumerate(atoms.elements)}
 
 
 def decode(p: Polynomial) -> SymPoly:
@@ -329,21 +328,18 @@ def eval_with_trace(p: Polynomial, assignment: dict[str, int]
 def substitute(q: SymPoly, p: SymPoly) -> SymPoly:
     """Symbolic composite q after p, for single-output p.
 
-    p's output variable must be q's only input; multiplies out the
-    multiset of monomials.  Test oracle for diagram composition.
+    p's output variable must be q's only input, so each monomial of q is
+    a power of it; multiplies out the multiset of monomials.  Test oracle
+    for diagram composition.
     """
     if len(p.out_vars) != 1 or q.in_vars != p.out_vars:
         raise NotComposable("substitution needs a matching single chain")
-    y = p.out_vars[0]
-    p_monos = p.monomials[y]
+    p_monos = p.monomials[p.out_vars[0]]
     monomials: dict[str, tuple[Monomial, ...]] = {}
     for o in q.out_vars:
         acc: list[Monomial] = []
         for mono in q.monomials[o]:
-            k = len(mono)
-            if any(v != y for v in mono):
-                raise NotComposable("substitution needs a matching chain")
-            for choice in product(p_monos, repeat=k):
+            for choice in product(p_monos, repeat=len(mono)):
                 acc.append(tuple(sorted(v for m in choice for v in m)))
         monomials[o] = tuple(acc)
     return SymPoly(p.in_vars, q.out_vars, monomials)

@@ -12,6 +12,7 @@ from polyfin.finset import (
     Element,
     FinFn,
     FinSetObj,
+    Pair,
     PullbackSquare,
     compose_fn,
 )
@@ -96,6 +97,20 @@ def counted_lines(module):
         yield steps
     finally:
         sys.settrace(old)
+
+
+@contextmanager
+def made_pairs():
+    """Record every Pair constructed while the block runs."""
+    made: list[Pair] = []
+    real = Pair.__init__
+
+    def counting(self, left, right):
+        made.append(self)
+        real(self, left, right)
+
+    with mock.patch.object(Pair, "__init__", counting):
+        yield made
 
 
 @contextmanager

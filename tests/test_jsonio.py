@@ -32,7 +32,7 @@ from polyfin.symbolic import (
     substitute,
 )
 
-from support import recorded_builds
+from support import made_pairs, recorded_builds
 
 # Atoms, pairs and section tables (two-entry ones included), nested.
 elements = st.recursive(
@@ -268,7 +268,7 @@ def test_four_link_chain_is_written_without_building_a_set():
 
 
 def test_four_link_file_is_read_decoded_and_rewritten_building_no_pair(
-        monkeypatch, tmp_path):
+        tmp_path):
     paths = []
     for text, var, out in (("x^2 + x", "x", "y"), ("y^2 + 1", "y", "x")):
         paths.append(str(tmp_path / f"{var}.json"))
@@ -278,17 +278,11 @@ def test_four_link_file_is_read_decoded_and_rewritten_building_no_pair(
     assert main(["compose", *paths * 2, "-o", str(chain)]) == 0
     raw = chain.read_text(encoding="utf-8")
     data = json.loads(raw)
-    made = []
-    real = Pair.__init__
-
-    def counting(self, left, right):
-        made.append(self)
-        real(self, left, right)
-
-    monkeypatch.setattr(Pair, "__init__", counting)
-    decoded = decode(jsonio.poly_from_json(data))
-    assert made == []
-    rewritten = jsonio.to_text(jsonio.poly_to_json(jsonio.poly_from_json(data)))
+    with made_pairs() as made:
+        decoded = decode(jsonio.poly_from_json(data))
+        assert made == []
+        rewritten = jsonio.to_text(
+            jsonio.poly_to_json(jsonio.poly_from_json(data)))
     assert made == []
     assert rewritten + "\n" == raw
     links = [parse_poly(t, [v], [w]) for t, v, w in (
@@ -438,7 +432,10 @@ def test_section_rows_out_of_canonical_order_read_back_equal():
 @given(st.randoms(use_true_random=False))
 def test_shuffled_dom_and_cod_read_back_equal(rnd):
     built = _composite()
-    data = _through_text(jsonio.poly_to_json(built))
+    written = _through_text(jsonio.poly_to_json(built))
+    data = _through_text(written)
+    for name in ("src", "A", "B", "tgt"):
+        rnd.shuffle(data[name])
     for leg in ("p1", "p2", "p3"):
         f = data[leg]
         dom_order = rnd.sample(range(len(f["dom"])), len(f["dom"]))
@@ -447,7 +444,14 @@ def test_shuffled_dom_and_cod_read_back_equal(rnd):
         f["dom"] = [f["dom"][i] for i in dom_order]
         f["map"] = [new_pos[f["map"][i]] for i in dom_order]
         f["cod"] = [f["cod"][i] for i in cod_order]
-    assert jsonio.poly_from_json(data) == built
+    # A set listed in any order is read as the canonical one: nothing is
+    # built, and the re-write is the canonical file.
+    with made_pairs() as made:
+        back = jsonio.poly_from_json(data)
+        assert jsonio.poly_to_json(back) == written
+    assert made == []
+    assert back.p1.dom is back.p2.dom and back.p2.cod is back.p3.dom
+    assert back == built
 
 
 def test_empty_set_beside_one_out_of_canonical_order_reads_back_equal():
@@ -542,6 +546,12 @@ PARSE_ERRORS = [
      "duplicate element Atom('m0.u0')"),
     (_edited(lambda d: d["p2"]["cod"].append(d["p2"]["cod"][0])),
      "duplicate element Atom('m0')"),
+    # Two distinct nodes of one element: a copied atom row.
+    pytest.param(
+        _edited(lambda d: (d["nodes"].append(d["nodes"][d["p1"]["dom"][0]]),
+                           d["p1"]["dom"].append(len(d["nodes"]) - 1),
+                           d["p1"]["map"].append(0))),
+        "duplicate element Atom('m0.u0')", id="make-copied atom row"),
     (_edited(lambda d: d["p1"]["dom"].append(d["p1"]["dom"][0])),
      "a function's map and dom differ in length"),
     (_edited(lambda d: (d.pop("B"), d.pop("tgt"))),
