@@ -6,6 +6,9 @@ order: atoms < pairs < section tables, lexicographic within each kind.  Each
 element's nested ``_key`` tuple realizes that order and decides equality.
 The order fixes a canonical serialization for every constructed set, which
 in turn makes every "induced unique map" computable by structural lookup.
+_sort_distinct is the one place where a listing is put in that order and a
+repeated element is refused: FinSetObj, Sect and the JSON reader call it,
+on order keys, for a listing that is not already strictly ascending.
 Hashes never walk a key tree: a Pair or Sect combines the cached hashes of
 its children, so hashing any element costs O(1) after construction.
 
@@ -82,6 +85,19 @@ class Element:
 _key_of = attrgetter("_key")
 
 
+def _sort_distinct(keys: Sequence, repeats: str,
+                   element: Callable[[int], Element]) -> list[int]:
+    """The positions of keys, order keys, in ascending order.  The first
+    two equal keys in that order are refused, naming element(i) for one of
+    them; keys are compared in C, and only a refusal looks for the pair."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranked = _take(keys, order)
+    if all(map(lt, ranked, ranked[1:])):
+        return order
+    i = next(i for i, k, after in zip(order, ranked, ranked[1:]) if k == after)
+    raise DuplicateElement(f"{repeats} {element(i)!r}")
+
+
 class Atom(Element):
     __slots__ = ("token",)
 
@@ -114,7 +130,7 @@ class Sect(Element):
 
     Entries are sorted by the global order and have distinct first
     components.  Entries already strictly ascending are kept after one
-    pass over the keys; any other order is sorted and checked.
+    pass over the keys; any other order goes through _sort_distinct.
     """
 
     __slots__ = ("entries",)
@@ -123,11 +139,9 @@ class Sect(Element):
         items = tuple(entries)
         keys = [k._key for k, _ in items]
         if not all(map(lt, keys, keys[1:])):
-            items = tuple(sorted(items, key=lambda kv: kv[0]._key))
-            for (a, _), (b, _) in zip(items, items[1:]):
-                if a == b:
-                    raise DuplicateElement(f"section table repeats key {a!r}")
-            keys = [k._key for k, _ in items]
+            order = _sort_distinct(keys, "section table repeats key",
+                                   lambda i: items[i][0])
+            items, keys = _take(items, order), _take(keys, order)
         self.entries = items
         self._key = (2, tuple(zip(keys, [v._key for _, v in items])))
         self._hash = hash((2, tuple((k._hash, v._hash) for k, v in items)))
@@ -150,8 +164,8 @@ class FinSetObj:
     """A finite set of elements, stored sorted by the global order.
 
     _index maps each element to its position.  Input already strictly
-    ascending is kept after one pass over the keys; only other input is
-    sorted and checked for duplicates.
+    ascending is kept after one pass over the keys; only other input goes
+    through _sort_distinct.
     """
 
     __slots__ = ("elements", "_index", "_hash")
@@ -160,10 +174,8 @@ class FinSetObj:
         elems = list(elements)
         keys = list(map(_key_of, elems))
         if not all(map(lt, keys, keys[1:])):
-            elems.sort(key=_key_of)
-            for a, b in zip(elems, elems[1:]):
-                if a == b:
-                    raise DuplicateElement(f"duplicate element {a!r}")
+            elems = _take(elems, _sort_distinct(keys, "duplicate element",
+                                                elems.__getitem__))
         self.elements = tuple(elems)
         self._index = dict(zip(elems, range(len(elems))))
         self._hash = None
@@ -422,13 +434,8 @@ def _square_positions(sq: PullbackSquare) -> tuple[tuple[int, ...],
 
 
 def mk_finset(tokens: list[str]) -> FinSetObj:
-    """Finite set of atoms, one per token; tokens must be pairwise distinct."""
-    seen = set()
-    for t in tokens:
-        if t in seen:
-            raise DuplicateElement(f"duplicate token {t!r}")
-        seen.add(t)
-    return FinSetObj(Atom(t) for t in tokens)
+    """Finite set of atoms, one per token; FinSetObj refuses a repeat."""
+    return FinSetObj(map(Atom, tokens))
 
 
 def identity_fn(obj: FinSetObj) -> FinFn:

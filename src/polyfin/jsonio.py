@@ -34,16 +34,16 @@ sort_keys=True) does, byte for byte.
 
 The reader reads every set one way and builds no element.  One pass over
 the node table computes each node's order key, the _key its element would
-carry.  An id array out of canonical order is sorted on these keys, and
-one that names an element twice is refused.  The sorted array becomes a
-lazy set whose _NodesRecipe builds, when the set is first read, the
-elements of the nodes the array reaches and no others.  Arrays that list
-one set, in any order, share it, and a function reads its map as a
-position table, permuted through the sorts of its dom and cod.  The
-reader's keys and set table live for one call only.  A lazy set keeps the
-payload's node table, and the elements its read has built so far, until
-it is built itself, so the caller must not change that table after the
-read.
+carry.  An id array or section row out of canonical order is sorted on
+them by finset._sort_distinct, which refuses one that names an element
+twice, as it does for every listing.  The sorted array becomes a lazy set
+whose _NodesRecipe builds, when the set is first read, the elements of the
+nodes the array reaches and no others.  Arrays that list one set, in any
+order, share it, and a function reads its map as a position table,
+permuted through the sorts of its dom and cod.  The reader's keys and set
+table live for one call only.  A lazy set keeps the payload's node table,
+and the elements its read has built so far, until it is built itself, so
+the caller must not change that table after the read.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .finset import (
     Pair,
     Sect,
     _check_canonical,
+    _sort_distinct,
     _take,
     lazy_finset,
     pending_build,
@@ -424,13 +425,12 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 def _rows(rows: list[list], nl: str) -> list[str]:
     """The text of each of rows at the indent of nl, where the shapes of a
-    node table, ["pair", l, r], ["atom", token], a section's [k, v] and
+    node table row, ["pair", l, r], ["atom", token] and
     ["sect", [[k, v], ...]] with int ids, are filled into one format each."""
     inner = nl + "  "
     entries = inner + "  "
     pair = "[" + inner + '"pair",' + inner + "%d," + inner + "%d" + nl + "]"
     atom = "[" + inner + '"atom",' + inner + "%s" + nl + "]"
-    entry = "[" + inner + "%d," + inner + "%d" + nl + "]"
     sect = "[" + inner + '"sect",' + inner + "%s" + nl + "]"
     sect_entry = "[" + entries + "  %d," + entries + "  %d" + entries + "]"
     out = []
@@ -438,8 +438,6 @@ def _rows(rows: list[list], nl: str) -> list[str]:
         if len(row) == 3 and row[0] == "pair" and type(row[1]) is int \
                 and type(row[2]) is int:
             out.append(pair % (row[1], row[2]))
-        elif len(row) == 2 and type(row[0]) is int and type(row[1]) is int:
-            out.append(entry % (row[0], row[1]))
         elif len(row) == 2 and row[0] == "atom" and type(row[1]) is str:
             out.append(atom % _quote(row[1]))
         elif len(row) == 2 and row[0] == "sect" and type(row[1]) is list \
@@ -535,15 +533,17 @@ class _Reader:
 
     keys[i] is the order key of node i, the _key its element would carry.
     An id array becomes the lazy set whose _NodesRecipe builds the array's
-    ids, sorted on these keys, when the set is read.  sets holds, for each
-    distinct id array read, its set and the array's positions in the
-    set's order, or None if the array is in that order; arrays that list
-    one set share it.  nodes is the payload's table, or a copy of it with
-    its section rows in canonical order.
+    ids, sorted on these keys by finset._sort_distinct if they are out of
+    order, when the set is read.  sets holds, for each distinct id array
+    read, its set and the array's positions in the set's order, or None if
+    the array is in that order; arrays that list one set share it.  nodes
+    is the payload's table, or a copy of it with its section rows in
+    canonical order.
     """
 
     def __init__(self, rows: Any) -> None:
         self.nodes = rows = _array(rows, "nodes")
+        self.memo: list[Element | None] = [None] * len(rows)
         self.keys = keys = []
         for n, node in enumerate(rows):
             if type(node) is list and len(node) == 3 and node[0] == "pair":
@@ -553,7 +553,6 @@ class _Reader:
                     keys.append((1, keys[left], keys[right]))
                     continue
             keys.append(self._key(rows, n, node))
-        self.memo: list[Element | None] = [None] * len(rows)
         self.sets: dict[tuple[int, ...], tuple[FinSetObj, list | None]] = {}
 
     def _key(self, rows: list, n: int, node: Any) -> tuple:
@@ -578,26 +577,15 @@ class _Reader:
             ks = _take(keys, at)
             if all(map(lt, ks, ks[1:])):
                 return 2, tuple(zip(ks, _take(keys, to)))
-            order = self._sort(at, ks, "section table repeats key")
+            order = _sort_distinct(
+                ks, "section table repeats key",
+                lambda i: _NodesRecipe(rows, (at[i],), self.memo)()[0])
             entries = [[at[i], to[i]] for i in order]
             if self.nodes is rows:
                 self.nodes = list(rows)
             self.nodes[n] = ["sect", entries]
             return 2, tuple((keys[k], keys[v]) for k, v in entries)
         raise ParseError(f"unknown node {node!r}", 0)
-
-    def _sort(self, ids: list | tuple, keys: tuple,
-              repeats: str) -> list[int]:
-        """The positions of ids in the ascending order of keys, their
-        nodes' order keys.  Two equal keys name one element twice, which is
-        refused by the text repeats and that element."""
-        order = sorted(range(len(ids)), key=keys.__getitem__)
-        for i, j in zip(order, order[1:]):
-            if keys[i] == keys[j]:
-                e = _NodesRecipe(self.nodes, (ids[i],),
-                                 [None] * len(self.nodes))()[0]
-                raise DuplicateElement(f"{repeats} {e!r}")
-        return order
 
     def _ids(self, data: Any) -> tuple[int, ...]:
         """The node ids of a set's array, each checked to be in range."""
@@ -611,7 +599,9 @@ class _Reader:
                 got = lazy_finset(len(ids), _NodesRecipe(self.nodes, ids,
                                                          self.memo)), None
             else:
-                order = self._sort(ids, keys, "duplicate element")
+                order = _sort_distinct(keys, "duplicate element", lambda i:
+                                       _NodesRecipe(self.nodes, (ids[i],),
+                                                    self.memo)()[0])
                 got = self._set(_take(ids, order))[0], order
             self.sets[ids] = got
         return got

@@ -11,8 +11,10 @@ empty monomial and everything stays a multiset.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
+from math import prod
 
 from .errors import (
     IncompleteAssignment,
@@ -63,21 +65,10 @@ class SymPoly:
             if not monos:
                 parts.append("0")
                 continue
-            counts: dict[Monomial, int] = {}
-            for m in monos:
-                counts[m] = counts.get(m, 0) + 1
             terms = []
-            for m in sorted(counts):
-                c = counts[m]
-                factors = []
-                i = 0
-                while i < len(m):
-                    j = i
-                    while j < len(m) and m[j] == m[i]:
-                        j += 1
-                    factors.append(m[i] if j - i == 1 else f"{m[i]}^{j - i}")
-                    i = j
-                body = "*".join(factors)
+            for m, c in sorted(Counter(monos).items()):
+                runs = [(v, len(list(run))) for v, run in groupby(m)]
+                body = "*".join(v if n == 1 else f"{v}^{n}" for v, n in runs)
                 if not body:
                     terms.append(str(c))
                 elif c == 1:
@@ -269,16 +260,8 @@ def eval_sym(s: SymPoly, assignment: dict[str, int]) -> dict[str, int]:
     for v in s.in_vars:
         if v not in assignment:
             raise IncompleteAssignment(f"no value for variable {v!r}")
-    out = {}
-    for o in s.out_vars:
-        total = 0
-        for mono in s.monomials[o]:
-            prod = 1
-            for v in mono:
-                prod *= assignment[v]
-            total += prod
-        out[o] = total
-    return out
+    return {o: sum(prod(map(assignment.__getitem__, mono))
+                   for mono in s.monomials[o]) for o in s.out_vars}
 
 
 def fiber_slice(p: Polynomial, assignment: dict[str, int]) -> SliceObj:

@@ -114,6 +114,21 @@ def made_pairs():
 
 
 @contextmanager
+def compared_elements():
+    """Record each pair of elements compared by Element.__eq__ while the
+    block runs."""
+    compared: list[tuple[Element, object]] = []
+    real = Element.__eq__
+
+    def counting(self, other):
+        compared.append((self, other))
+        return real(self, other)
+
+    with mock.patch.object(Element, "__eq__", counting):
+        yield compared
+
+
+@contextmanager
 def recorded_builds():
     """Record the element tuple of every set built by ordered_finset.
 

@@ -1,5 +1,6 @@
 """Base layer: elements, sets, functions, chosen pullbacks."""
 
+import random
 import re
 from itertools import product
 
@@ -33,7 +34,12 @@ from polyfin.finset import (
     pullback,
 )
 
-from support import constant_fn, counting_pullback_check, recorded_builds
+from support import (
+    compared_elements,
+    constant_fn,
+    counting_pullback_check,
+    recorded_builds,
+)
 
 elements = st.recursive(
     st.sampled_from("abcxyz").map(Atom),
@@ -165,6 +171,53 @@ class TestMkFinset:
 
     def test_set_equality_is_structural(self):
         assert mk_finset(["a", "b"]) == mk_finset(["b", "a"])
+
+    def test_duplicate_token_is_named_as_its_atom(self):
+        with pytest.raises(DuplicateElement,
+                           match=r"^duplicate element Atom\('a'\)$"):
+            mk_finset(["a", "a"])
+
+
+def _shuffled(items):
+    items = list(items)
+    random.Random(4).shuffle(items)
+    return items
+
+
+_ATOMS = [Atom(f"a{i}") for i in range(30)]
+
+
+class TestCanonicalOrdering:
+    """A listing out of canonical order is sorted on its order keys, which
+    are compared in C: no element is compared with Element.__eq__."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: FinSetObj(_shuffled(_ATOMS)), id="atoms"),
+        pytest.param(lambda: FinSetObj(_shuffled(
+            Pair(Pair(a, b), a) for a, b in product(_ATOMS[:6], repeat=2))),
+            id="nested pairs"),
+        pytest.param(lambda: Sect(_shuffled(
+            (a, Atom(str(i))) for i, a in enumerate(_ATOMS))),
+            id="section entries"),
+        # Listed as encode lists them, "m2" before "m10": canonical order
+        # puts "m10" first.
+        pytest.param(lambda: mk_finset([f"m{i}" for i in range(12)]),
+                     id="encode's tokens"),
+    ])
+    def test_sorting_compares_no_elements(self, build):
+        with compared_elements() as compared:
+            build()
+        assert compared == []
+
+    def test_first_repeat_in_canonical_order_is_named(self):
+        a, b = Atom("a"), Atom("b")
+        with pytest.raises(DuplicateElement,
+                           match=r"^duplicate element Atom\('a'\)$"):
+            FinSetObj([b, a, b, a])
+        with pytest.raises(DuplicateElement, match=r"^section table repeats "
+                                                   r"key Atom\('a'\)$"):
+            Sect([(b, Atom("0")), (a, Atom("1")), (b, Atom("2")),
+                  (a, Atom("3"))])
 
 
 class TestMkFn:

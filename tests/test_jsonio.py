@@ -552,6 +552,15 @@ PARSE_ERRORS = [
                            d["p1"]["dom"].append(len(d["nodes"]) - 1),
                            d["p1"]["map"].append(0))),
         "duplicate element Atom('m0.u0')", id="make-copied atom row"),
+    # Listings b, a, b, a: the repeat named is the first in canonical order.
+    pytest.param(
+        _edited(lambda d: d.update(B=d["B"][::-1] * 2)),
+        "duplicate element Atom('m0')", id="make-id array b, a, b, a"),
+    pytest.param(
+        _edited(lambda d: d["nodes"].append(
+            ["sect", [[d["B"][1], 0], [d["B"][0], 0]] * 2])),
+        "section table repeats key Atom('m0')",
+        id="make-section row b, a, b, a"),
     (_edited(lambda d: d["p1"]["dom"].append(d["p1"]["dom"][0])),
      "a function's map and dom differ in length"),
     (_edited(lambda d: (d.pop("B"), d.pop("tgt"))),

@@ -171,6 +171,33 @@ class TestEvalSym:
             eval_sym(s, {})
 
 
+# Each case: the input names, each output's monomials in any order, the
+# text render gives and eval_sym's values at x = 2, y = 3.
+SHAPES = [
+    (("x",), {"out1": ()}, "0", {"out1": 0}),
+    ((), {"out1": ((),)}, "1", {"out1": 1}),
+    ((), {"out1": ((),) * 3}, "3", {"out1": 3}),
+    (("x",), {"out1": (("x", "x", "x"),)}, "x^3", {"out1": 8}),
+    (("x", "y"), {"out1": (("x", "y", "x"),) * 2}, "2*x^2*y", {"out1": 24}),
+    (("x", "y"), {"out1": (("y", "y"), ("x", "y"), (), ("x",), ("y", "x"))},
+     "1 + x + 2*x*y + y^2", {"out1": 1 + 2 + 2 * 6 + 9}),
+    (("x", "y"), {"out1": (("x", "x"), ()), "out2": (("y",),) * 3},
+     "1 + x^2 ; 3*y", {"out1": 5, "out2": 9}),
+]
+
+
+@pytest.mark.parametrize("in_vars, monomials, text, values", SHAPES,
+                         ids=[text for _, _, text, _ in SHAPES])
+def test_render_and_eval_sym_shapes(in_vars, monomials, text, values):
+    s = SymPoly(in_vars, tuple(monomials), monomials)
+    assert s.render() == text
+    assert eval_sym(s, {"x": 2, "y": 3}) == values
+    for v in in_vars:
+        with pytest.raises(IncompleteAssignment,
+                           match=f"^no value for variable '{v}'$"):
+            eval_sym(s, {w: 1 for w in in_vars if w != v})
+
+
 class TestEvalViaExtension:
     def test_agrees_on_worked_example(self):
         s = parse_poly(EXPR, in_vars=VARS)
